@@ -1,10 +1,10 @@
 package main
 
 import (
-	"context"
-
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,10 +135,49 @@ func TestExperimentAllGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr)
 	}
-	if stdout == string(want) {
-		return
+	if msg := goldenDiff([]byte(stdout), want); msg != "" {
+		t.Fatal(msg)
 	}
-	got := []byte(stdout)
+}
+
+// TestWorkloadJSONGolden pins the full -json report of single-kernel
+// workload runs — Kernel stats included, which the experiment golden
+// does not carry — to files recorded before serial machines became
+// one-shard partitions. A serial machine must stay byte-identical to
+// the monolithic build it replaced. Never regenerate these files to
+// make a change pass: a diff here is a change in simulated behaviour.
+func TestWorkloadJSONGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"workload_saxpy.json", []string{"-workload", "saxpy", "-dim", "4", "-rows", "50"}},
+		{"workload_matmul.json", []string{"-workload", "matmul", "-dim", "4", "-n", "32"}},
+		{"workload_recovery.json", []string{"-workload", "recovery", "-dim", "2", "-phases", "6", "-faults", "seed=5,ber=1e-6"}},
+		{"workload_soak.json", []string{"-workload", "soak", "-dim", "3", "-reps", "1", "-chaos", "seed=4,dur=60s,crashes=1,hangs=1"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatalf("reading golden: %v", err)
+			}
+			code, stdout, stderr := runCLI(t, append(tc.args, "-json")...)
+			if code != 0 {
+				t.Fatalf("exit = %d, stderr: %s", code, stderr)
+			}
+			if msg := goldenDiff([]byte(stdout), want); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+	}
+}
+
+// goldenDiff returns "" when got equals want, or a message locating the
+// first differing byte with some context on either side.
+func goldenDiff(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
 	i := 0
 	for i < len(got) && i < len(want) && got[i] == want[i] {
 		i++
@@ -157,7 +196,7 @@ func TestExperimentAllGolden(t *testing.T) {
 		}
 		return string(b[lo:h])
 	}
-	t.Fatalf("output differs from golden at byte %d (got %d bytes, want %d)\n got: …%q…\nwant: …%q…",
+	return fmt.Sprintf("output differs from golden at byte %d (got %d bytes, want %d)\n got: …%q…\nwant: …%q…",
 		i, len(got), len(want), ctx(got), ctx(want))
 }
 

@@ -12,9 +12,9 @@ import (
 
 // The machine scaling curve: one full machine simulation — FPU vector
 // forms, router traffic, module threads — at dim 5 (32 nodes, four
-// modules), run three ways. machine_shard_scale_1 is the monolithic
-// serial build (machine.New: every node on one kernel, one pending
-// set); machine_shard_scale_2 and _4 are the partitioned build
+// modules), run three ways. machine_shard_scale_1 is the one-shard
+// build (machine.New: every node on one kernel, one pending set);
+// machine_shard_scale_2 and _4 are the partitioned build
 // (machine.NewAuto: one logical shard per module, staged intermodule
 // edges) at 2 and 4 host workers. The partitioned timeline is fixed by
 // the geometry — _2 and _4 execute the identical four-shard simulation
@@ -46,8 +46,8 @@ func machineShardScenarios() []shardScenario {
 	return out
 }
 
-// machineShardRun builds the dim-5 machine (monolithic at workers == 1,
-// partitioned otherwise) and drives a phased exchange workload: every
+// machineShardRun builds the dim-5 machine (one shard at workers == 1,
+// one shard per module otherwise) and drives a phased exchange workload: every
 // node alternates vector compute (a SAXPY form through the FPU model)
 // with a row exchange across a rotating hypercube dimension. One
 // operation is one node-phase; events scale with n plus the fixed build
@@ -69,11 +69,7 @@ func machineShardRun(workers int) func(n int) int64 {
 		a := fparith.FromInt64(2)
 		for id := 0; id < nodes; id++ {
 			nodeID := id
-			k := m.K
-			if m.Partitioned() {
-				k = m.Group.Shard(m.Plan.ShardOfNode(id))
-			}
-			k.Go(fmt.Sprintf("bench/n%d", nodeID), func(p *sim.Proc) {
+			m.GoNode(nodeID, fmt.Sprintf("bench/n%d", nodeID), func(p *sim.Proc) {
 				nd := m.Nodes[nodeID]
 				ep := m.Endpoint(nodeID)
 				for it := 0; it < iters; it++ {

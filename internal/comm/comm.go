@@ -45,9 +45,9 @@ type Network struct {
 	// a healthy network routes pure e-cube without ever building it.
 	routes *routeTable
 
-	// view is the barrier-frozen topology view of a partitioned build
-	// (see shard.go); nil on a single-kernel network, where every code
-	// path below reads the live objects directly.
+	// view is the barrier-frozen topology view of a multi-shard build
+	// (see shard.go); nil on a one-shard network, where every code path
+	// below reads the live objects directly.
 	view *netView
 }
 
@@ -102,8 +102,16 @@ func CubeSublink(d int) int { return cubeSublink[d] }
 
 // BuildCube wires the nodes' sublinks into a binary n-cube using the
 // CubeSublink channel assignment, and starts a daemon router on every
-// (node, dimension) pair.
-func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
+// (node, dimension) pair. The nodes may be spread over the shards of g:
+// shardOf maps a node id to its owning shard, and each node's kernel
+// must be g.Shard(shardOf(id)). A serial network is the one-shard case
+// (sim.OneShard). An edge whose endpoints share a shard is an ordinary
+// link.Connect pair; a cross-shard edge becomes a staged pair
+// (link.ConnectStaged) whose frames travel through XChan edges with the
+// link-layer lookahead — the DMA startup plus one byte time that even
+// the smallest frame pays, which is exactly the latency floor
+// machine.PlanPartition derives.
+func BuildCube(g *sim.ShardGroup, nodes []*node.Node, shardOf func(id int) int) (*Network, error) {
 	dim, err := cube.DimOf(len(nodes))
 	if err != nil {
 		return nil, err
@@ -116,12 +124,17 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 		if nd.ID != id {
 			return nil, fmt.Errorf("comm: node %d has ID %d; nodes must be in cube order", id, nd.ID)
 		}
+		if nd.K != g.Shard(shardOf(id)) {
+			return nil, fmt.Errorf("comm: node %d not built on its shard %d kernel", id, shardOf(id))
+		}
 		n.eps = append(n.eps, &Endpoint{
 			net: n, id: id, nd: nd,
 			mailboxes: map[int]*sim.Chan{},
 		})
 	}
-	// Wire dimension d between id and id^(1<<d), once per edge.
+	// Wire dimension d between id and id^(1<<d), once per edge. A
+	// cross-shard edge stages each direction through an XChan that
+	// delivers straight into the far sublink's inbox.
 	for id := range nodes {
 		for d := 0; d < dim; d++ {
 			nb := cube.Neighbor(id, d)
@@ -130,26 +143,43 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 			}
 			a := nodes[id].Sublink(CubeSublink(d))
 			b := nodes[nb].Sublink(CubeSublink(d))
-			if err := link.Connect(a, b); err != nil {
+			sa, sb := shardOf(id), shardOf(nb)
+			if sa == sb {
+				if err := link.Connect(a, b); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			ab := g.ConnectInto(sa, sb, fmt.Sprintf("xcube/n%d-n%d/d%d", id, nb, d), link.Lookahead, b.Inbox())
+			ba := g.ConnectInto(sb, sa, fmt.Sprintf("xcube/n%d-n%d/d%d", nb, id, d), link.Lookahead, a.Inbox())
+			if err := link.ConnectStaged(a, b, ab, ba); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Routers: one daemon per (node, dimension), listening on that
-	// dimension's sublink. Each router knows its own dimension so the
-	// forwarder can avoid bouncing a message straight back.
+	// dimension's sublink on the node's own kernel. Each router knows
+	// its own dimension so the forwarder can avoid bouncing a message
+	// straight back.
 	for id := range nodes {
 		ep := n.eps[id]
 		for d := 0; d < dim; d++ {
 			arriveDim := d
 			sl := nodes[id].Sublink(CubeSublink(d))
-			k.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
+			nodes[id].K.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
 				for {
 					raw := sl.Recv(p)
 					ep.route(p, raw, arriveDim)
 				}
 			})
 		}
+	}
+	// The barrier-frozen view exists only across shards. A one-shard
+	// group runs a single unbounded window, so a frozen view would never
+	// refresh; there every read stays live.
+	if g.Shards() > 1 {
+		n.view = &netView{alive: make([]bool, len(nodes))}
+		n.SyncView()
 	}
 	return n, nil
 }
@@ -291,7 +321,7 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 	diff := e.id ^ dst
 	bumpHops(raw)
 	if v := e.net.view; v != nil {
-		// Partitioned build: route from the barrier-frozen view. The
+		// Multi-shard build: route from the barrier-frozen view. The
 		// candidates loop reads only this shard's own channel state
 		// (staged peers through their mirrors), so it stays usable; the
 		// live-graph table is frozen until the next barrier, so a

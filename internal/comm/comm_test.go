@@ -12,7 +12,10 @@ import (
 	"tseries/internal/sim"
 )
 
-// buildNet constructs a 2^dim-node cube network.
+// oneShard places every node on shard 0.
+func oneShard(int) int { return 0 }
+
+// buildNet constructs a 2^dim-node cube network on one kernel.
 func buildNet(t testing.TB, dim int) (*sim.Kernel, *Network) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -20,7 +23,7 @@ func buildNet(t testing.TB, dim int) (*sim.Kernel, *Network) {
 	for i := range nodes {
 		nodes[i] = node.New(k, i)
 	}
-	net, err := BuildCube(k, nodes)
+	net, err := BuildCube(sim.OneShard(k), nodes, oneShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +326,18 @@ func TestSelfSend(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	k := sim.NewKernel()
 	nodes := []*node.Node{node.New(k, 0), node.New(k, 1), node.New(k, 2)}
-	if _, err := BuildCube(k, nodes); err == nil {
+	if _, err := BuildCube(sim.OneShard(k), nodes, oneShard); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 	k2 := sim.NewKernel()
 	wrongOrder := []*node.Node{node.New(k2, 1), node.New(k2, 0)}
-	if _, err := BuildCube(k2, wrongOrder); err == nil {
+	if _, err := BuildCube(sim.OneShard(k2), wrongOrder, oneShard); err == nil {
 		t.Fatal("out-of-order node ids accepted")
+	}
+	k3 := sim.NewKernel()
+	foreign := []*node.Node{node.New(k3, 0), node.New(sim.NewKernel(), 1)}
+	if _, err := BuildCube(sim.OneShard(k3), foreign, oneShard); err == nil {
+		t.Fatal("node on a kernel outside its shard accepted")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 
 	"fmt"
 
-	"tseries/internal/comm"
-	"tseries/internal/node"
 	"tseries/internal/sim"
 	"tseries/internal/stats"
 )
@@ -44,18 +42,14 @@ func A6BroadcastTree(ctx context.Context) (*Result, error) {
 
 func runBroadcast(ctx context.Context, dim, payload int, tree bool) (sim.Duration, error) {
 	k := sim.NewKernelCtx(ctx)
-	nodes := make([]*node.Node, 1<<uint(dim))
-	for i := range nodes {
-		nodes[i] = node.New(k, i)
-	}
-	net, err := comm.BuildCube(k, nodes)
+	net, err := rawCube(k, dim)
 	if err != nil {
 		return 0, err
 	}
 	data := make([]byte, payload)
 	var last sim.Time
 	if tree {
-		for i := range nodes {
+		for i := range net.Nodes {
 			e := net.Endpoint(i)
 			k.Go(fmt.Sprintf("bc/n%d", i), func(p *sim.Proc) {
 				if _, err := e.Broadcast(p, 0, 5, data); err != nil {
@@ -68,13 +62,13 @@ func runBroadcast(ctx context.Context, dim, payload int, tree bool) (sim.Duratio
 		}
 	} else {
 		k.Go("root", func(p *sim.Proc) {
-			for dst := 1; dst < len(nodes); dst++ {
+			for dst := 1; dst < net.Size(); dst++ {
 				if err := net.Endpoint(0).Send(p, dst, 5, data); err != nil {
 					panic(err)
 				}
 			}
 		})
-		for i := 1; i < len(nodes); i++ {
+		for i := 1; i < net.Size(); i++ {
 			e := net.Endpoint(i)
 			k.Go(fmt.Sprintf("bc/n%d", i), func(p *sim.Proc) {
 				e.Recv(p, 5)

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 
-	"tseries/internal/comm"
-	"tseries/internal/node"
 	"tseries/internal/sim"
 	"tseries/internal/stats"
 )
@@ -21,11 +19,7 @@ func A5ChunkedTransfer(ctx context.Context) (*Result, error) {
 
 	run := func(hops, chunk int) (sim.Duration, error) {
 		k := sim.NewKernelCtx(ctx)
-		nodes := make([]*node.Node, 8)
-		for i := range nodes {
-			nodes[i] = node.New(k, i)
-		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := rawCube(k, 3)
 		if err != nil {
 			return 0, err
 		}

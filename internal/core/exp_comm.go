@@ -129,11 +129,7 @@ func E8CubeMappings(ctx context.Context) (*Result, error) {
 	for _, dst := range []int{1, 3, 7, 15} {
 		d := dst
 		k := sim.NewKernelCtx(ctx)
-		nodes := make([]*node.Node, 16)
-		for i := range nodes {
-			nodes[i] = node.New(k, i)
-		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := rawCube(k, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -257,15 +253,11 @@ func A4Routing(ctx context.Context) (*Result, error) {
 	const dim = 4
 	runPerm := func() sim.Duration {
 		k := sim.NewKernelCtx(ctx)
-		nodes := make([]*node.Node, cube.Nodes(dim))
-		for i := range nodes {
-			nodes[i] = node.New(k, i)
-		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := rawCube(k, dim)
 		if err != nil {
 			panic(err)
 		}
-		for id := 0; id < len(nodes); id++ {
+		for id := 0; id < net.Size(); id++ {
 			srcID := id
 			dst := bitReverse(id, dim)
 			if dst == srcID {
@@ -304,4 +296,14 @@ func init() {
 	register("E8", "Binary n-cube mappings and O(log N) distance (Figure 3, §III)", E8CubeMappings)
 	register("A2", "Ablation: sublink multiplexing divides link bandwidth", A2SublinkMux)
 	register("A4", "Ablation: e-cube vs random-order routing under permutation load", A4Routing)
+}
+
+// rawCube builds a bare 2^dim-node network — nodes and hypercube, no
+// modules or system ring — with k as its only shard.
+func rawCube(k *sim.Kernel, dim int) (*comm.Network, error) {
+	nodes := make([]*node.Node, cube.Nodes(dim))
+	for i := range nodes {
+		nodes[i] = node.New(k, i)
+	}
+	return comm.BuildCube(sim.OneShard(k), nodes, func(int) int { return 0 })
 }

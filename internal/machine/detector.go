@@ -316,10 +316,11 @@ func (d *Detector) silence(now sim.Time, s module.SlotHealth) sim.Duration {
 }
 
 // scanLossy looks for channels whose retransmit counters climbed by
-// more than LossyRetransmits since the last pass. On a partitioned
-// machine the counters belong to other shards, so the scan reads the
+// more than LossyRetransmits since the last pass. Across several shards
+// the counters belong to other shards, so the scan reads the
 // barrier-synced retransmit mirror instead of the live links — at most
-// one window stale, which is deterministic for a fixed partition.
+// one window stale, which is deterministic for a fixed partition. One
+// shard has no mirror (see build) and reads the links live.
 func (d *Detector) scanLossy() {
 	mirror := d.M.rtxMirror
 	i := 0

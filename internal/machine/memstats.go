@@ -47,14 +47,9 @@ func (m *Machine) MemStats() MemStats {
 	return s
 }
 
-// GoNode spawns fn as a process on node id's owning shard kernel — the
-// machine's only kernel when serial. A process that touches a node's
-// state must run on the kernel that owns it; spawning before Run starts
-// is deterministic in either build.
+// GoNode spawns fn as a process on node id's owning shard kernel. A
+// process that touches a node's state must run on the kernel that owns
+// it; spawning before Run starts is deterministic.
 func (m *Machine) GoNode(id int, name string, fn func(*sim.Proc)) {
-	if m.Group != nil {
-		m.Group.Shard(m.shardOf(id)).Go(name, fn)
-		return
-	}
-	m.K.Go(name, fn)
+	m.Group.Shard(m.shardOf(id)).Go(name, fn)
 }

@@ -109,13 +109,13 @@ func (p *PartitionPlan) CrossShardDims() []int {
 }
 
 // Buildable reports whether the machine builder can realise this plan
-// as a sharded simulation, and when it cannot, why. Multi-shard plans
-// are buildable as long as every shard boundary falls on an edge with a
-// positive latency floor: comm.BuildCubeOn and module.ConnectRingOn
-// stage cross-shard hypercube and ring traffic through XChan edges, and
-// NewSharded ports the supervisor/detector/heal control plane to shard
-// ownership. A plan is refused only when some boundary edge has no
-// floor to stage across — splitting below module granularity would put
+// as a sharded simulation, and when it cannot, why. One-shard plans
+// always are. Multi-shard plans are buildable as long as every shard
+// boundary falls on an edge with a positive latency floor:
+// comm.BuildCube and module.ConnectRing stage cross-shard hypercube and
+// ring traffic through XChan edges, and the supervisor/detector/heal
+// control plane follows the shard-ownership rules. A plan is refused
+// only when some boundary edge has no floor to stage across — splitting below module granularity would put
 // a shard boundary on the intramodule backplane (hypercube dims 0..2),
 // whose transfers have no guaranteed minimum latency — or when the plan
 // is internally inconsistent.

@@ -1,26 +1,22 @@
 package machine
 
 import (
-	"context"
-	"errors"
-	"fmt"
-
-	"tseries/internal/comm"
 	"tseries/internal/link"
-	"tseries/internal/module"
-	"tseries/internal/node"
 	"tseries/internal/sim"
 )
 
-// Partitioned machine build. A multi-module machine shards one logical
-// shard per module across a sim.ShardGroup: the eight nodes of a module
-// (and its system board) live on one kernel, every intermodule path —
-// cabled hypercube sublinks and the system ring — crosses shards
-// through staged edges with the link-layer latency floor as lookahead,
-// exactly the geometry PlanPartition derives. Because the partition is
-// fixed by the machine dimension, not by the host, the simulation's
-// event order is identical at every worker count; -kernel-shards picks
-// only how many host cores execute the fixed shard set.
+// Partitioned machine build. Every machine spreads over the shards of a
+// sim.ShardGroup as its PartitionPlan assigns modules: NewAuto shards a
+// multi-module machine one logical shard per module, and New builds the
+// one-shard plan, under which every rule below holds trivially. The
+// eight nodes of a module (and its system board) live on one kernel,
+// and every intermodule path that crosses shards — cabled hypercube
+// sublinks and the system ring — does so through staged edges with the
+// link-layer latency floor as lookahead, exactly the geometry
+// PlanPartition derives. Because the partition is fixed by the machine
+// dimension, not by the host, the simulation's event order is identical
+// at every worker count; -kernel-shards picks only how many host cores
+// execute the fixed shard set.
 //
 // Shard-ownership rules for the layers above the network:
 //
@@ -39,148 +35,11 @@ import (
 //     staged sublink outage mirrors, and the retransmit mirror the
 //     lossy-link scanner reads. All of them lag a mid-window change by
 //     at most one window, which is deterministic for a fixed partition.
+//     A one-shard machine has no barriers to sync at, so it keeps none
+//     of these copies and reads the live state.
 
-// NewSharded builds a 2^dim-node machine partitioned one shard per
-// module across a new shard group bound to ctx. dim must give at least
-// two modules (use New for single-module machines).
-func NewSharded(ctx context.Context, dim int) (*Machine, error) {
-	spec, err := SpecFor(dim)
-	if err != nil {
-		return nil, err
-	}
-	if dim > MaxSimDim {
-		return nil, fmt.Errorf("machine: %d-cube exceeds the simulator's %d-cube instantiation cap (use SpecFor for larger derivations)", dim, MaxSimDim)
-	}
-	mods := (spec.Nodes + module.NodesPerModule - 1) / module.NodesPerModule
-	if mods < 2 {
-		return nil, fmt.Errorf("machine: %d-cube has a single module; use New", dim)
-	}
-	plan, err := PlanPartition(dim, mods)
-	if err != nil {
-		return nil, err
-	}
-	if ok, why := plan.Buildable(); !ok {
-		return nil, errors.New(why)
-	}
-	g := sim.NewShardGroupCtx(ctx, plan.Shards)
-	g.SetLookahead(plan.Lookahead)
-	m := &Machine{Dim: dim, Spec: spec, K: g.Shard(0), Group: g, Plan: plan}
-	for i := 0; i < spec.Nodes; i++ {
-		m.Nodes = append(m.Nodes, node.New(g.Shard(plan.ShardOfNode(i)), i))
-	}
-	net, err := comm.BuildCubeOn(g, m.Nodes, plan.ShardOfNode)
-	if err != nil {
-		return nil, err
-	}
-	m.Net = net
-	for i := 0; i < spec.Nodes; i += module.NodesPerModule {
-		end := i + module.NodesPerModule
-		if end > spec.Nodes {
-			end = spec.Nodes
-		}
-		idx := len(m.Modules)
-		mod, err := module.New(g.Shard(plan.Assign[idx]), idx, m.Nodes[i:end])
-		if err != nil {
-			return nil, err
-		}
-		m.Modules = append(m.Modules, mod)
-	}
-	if err := module.ConnectRingOn(g, m.Modules, func(i int) int { return plan.Assign[i] }); err != nil {
-		return nil, err
-	}
-	// Control-token mesh: every shard can join operations fanned out to
-	// every other shard (the joiner may run on any shard).
-	m.ctl = make([]*sim.Chan, plan.Shards)
-	for s := range m.ctl {
-		m.ctl[s] = sim.NewChan(g.Shard(s), fmt.Sprintf("machine/ctl%d", s), 4*len(m.Modules))
-	}
-	m.ctlEdge = make([][]*sim.XChan, plan.Shards)
-	for a := 0; a < plan.Shards; a++ {
-		m.ctlEdge[a] = make([]*sim.XChan, plan.Shards)
-		for b := 0; b < plan.Shards; b++ {
-			if a == b {
-				continue
-			}
-			m.ctlEdge[a][b] = g.ConnectInto(a, b, fmt.Sprintf("machine/ctl%d-%d", a, b), plan.Lookahead, m.ctl[b])
-		}
-	}
-	m.rtxMirror = make([]int64, len(m.Nodes)*link.LinksPerNode)
-	g.SetWindowObserver(&machineObserver{m: m})
-	m.syncShardState()
-	return m, nil
-}
-
-// NewAuto builds the natural machine for dim: single-module dimensions
-// build serially on one kernel, multi-module dimensions build sharded
-// (one shard per module) with `workers` host workers executing the
-// windows. workers < 1 leaves the group's default of one worker — the
-// output is identical either way.
-func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
-	spec, err := SpecFor(dim)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Nodes <= module.NodesPerModule {
-		return New(sim.NewKernelCtx(ctx), dim)
-	}
-	m, err := NewSharded(ctx, dim)
-	if err != nil {
-		return nil, err
-	}
-	if workers > 0 {
-		m.Group.SetWorkers(workers)
-	}
-	return m, nil
-}
-
-// Partitioned reports whether the machine was built across a shard
-// group.
-func (m *Machine) Partitioned() bool { return m.Group != nil }
-
-// Run executes the simulation to the horizon (0 = until drained) and
-// returns the end time.
-func (m *Machine) Run(horizon sim.Duration) sim.Time {
-	if m.Group != nil {
-		return m.Group.Run(horizon)
-	}
-	return m.K.Run(horizon)
-}
-
-// Err reports the simulation's terminal error (context cancellation),
-// if any.
-func (m *Machine) Err() error {
-	if m.Group != nil {
-		return m.Group.Err()
-	}
-	return m.K.Err()
-}
-
-// SimStats returns the aggregated kernel statistics.
-func (m *Machine) SimStats() sim.Stats {
-	if m.Group != nil {
-		return m.Group.Stats()
-	}
-	return m.K.Stats()
-}
-
-// globalOp runs fn with every shard quiescent: inline for a serial
-// machine, in a Global section at the next window barrier for a
-// partitioned one.
-func (m *Machine) globalOp(p *sim.Proc, fn func(at sim.Time)) {
-	if m.Group == nil {
-		fn(p.Now())
-		return
-	}
-	m.Group.Global(p, fn)
-}
-
-// shardOf maps a node id to its owning shard (0 on a serial machine).
-func (m *Machine) shardOf(id int) int {
-	if m.Plan == nil {
-		return 0
-	}
-	return m.Plan.ShardOfNode(id)
-}
+// shardOf maps a node id to its owning shard.
+func (m *Machine) shardOf(id int) int { return m.Plan.ShardOfNode(id) }
 
 // shardOfProc identifies which shard kernel p runs on.
 func (m *Machine) shardOfProc(p *sim.Proc) int {
@@ -245,8 +104,7 @@ func (m *Machine) ctlPost(sp *sim.Proc, from, to int, gen int64) {
 
 // ctlJoin collects `want` tokens of generation gen on p's shard,
 // discarding stale ones. Machine-level control operations are issued by
-// one process at a time (the same assumption the serial SnapshotAll
-// makes), so tokens of a different generation are always leftovers of
+// one process at a time, so tokens of a different generation are always leftovers of
 // an aborted earlier operation.
 func (m *Machine) ctlJoin(p *sim.Proc, shard int, gen int64, want int) {
 	for got := 0; got < want; {
@@ -254,58 +112,4 @@ func (m *Machine) ctlJoin(p *sim.Proc, shard int, gen int64, want int) {
 			got++
 		}
 	}
-}
-
-// snapshotAllSharded checkpoints every module in parallel on its own
-// shard: the workers are spawned in a Global section (so spawn order
-// never races), run on their modules' kernels, and report back through
-// the control mesh to whatever shard the caller runs on.
-func (m *Machine) snapshotAllSharded(p *sim.Proc) ([]*module.Snapshot, error) {
-	shard := m.shardOfProc(p)
-	m.ctlGen++
-	gen := m.ctlGen
-	snaps := make([]*module.Snapshot, len(m.Modules))
-	errs := make([]error, len(m.Modules))
-	m.Group.Global(p, func(at sim.Time) {
-		for i, mod := range m.Modules {
-			idx, mm := i, mod
-			ms := m.Plan.Assign[idx]
-			m.Group.Shard(ms).Go(fmt.Sprintf("snapall/mod%d", idx), func(sp *sim.Proc) {
-				snaps[idx], errs[idx] = mm.Snapshot(sp)
-				m.ctlPost(sp, ms, shard, gen)
-			})
-		}
-	})
-	m.ctlJoin(p, shard, gen, len(m.Modules))
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return snaps, nil
-}
-
-// restoreAllSharded rewinds every module in parallel on its own shard.
-func (m *Machine) restoreAllSharded(p *sim.Proc, snaps []*module.Snapshot) error {
-	shard := m.shardOfProc(p)
-	m.ctlGen++
-	gen := m.ctlGen
-	errs := make([]error, len(m.Modules))
-	m.Group.Global(p, func(at sim.Time) {
-		for i, mod := range m.Modules {
-			idx, mm := i, mod
-			ms := m.Plan.Assign[idx]
-			m.Group.Shard(ms).Go(fmt.Sprintf("restoreall/mod%d", idx), func(sp *sim.Proc) {
-				errs[idx] = mm.Restore(sp, snaps[idx])
-				m.ctlPost(sp, ms, shard, gen)
-			})
-		}
-	})
-	m.ctlJoin(p, shard, gen, len(m.Modules))
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

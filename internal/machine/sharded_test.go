@@ -9,12 +9,9 @@ import (
 )
 
 func TestShardedMachineBuilds(t *testing.T) {
-	m, err := NewSharded(context.Background(), 4) // one cabinet: 16 nodes, 2 modules
+	m, err := NewAuto(context.Background(), 4, 0) // one cabinet: 16 nodes, 2 modules
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !m.Partitioned() {
-		t.Fatal("dim-4 machine must build partitioned")
 	}
 	if m.Group.Shards() != 2 || len(m.Modules) != 2 {
 		t.Fatalf("shards=%d modules=%d, want 2/2", m.Group.Shards(), len(m.Modules))
@@ -43,7 +40,7 @@ func TestShardedMachineBuilds(t *testing.T) {
 func TestShardedSnapshotAllFromAnyShard(t *testing.T) {
 	// SnapshotAll still takes ≈15 s wall (modules snapshot in parallel,
 	// each on its own shard) and may be issued from a non-control shard.
-	m, err := NewSharded(context.Background(), 4)
+	m, err := NewAuto(context.Background(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +63,47 @@ func TestNewAutoPicksGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Partitioned() {
-		t.Fatal("single-module dim-3 machine must build serial regardless of workers")
+	if n := serial.Group.Shards(); n != 1 {
+		t.Fatalf("single-module dim-3 machine built %d shards, want 1 regardless of workers", n)
 	}
 	sharded, err := NewAuto(context.Background(), 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharded.Partitioned() || sharded.Group.Shards() != 4 {
-		t.Fatalf("dim-5 machine: partitioned=%v shards=%d, want 4 shards (one per module)",
-			sharded.Partitioned(), sharded.Group.Shards())
+	if n := sharded.Group.Shards(); n != 4 {
+		t.Fatalf("dim-5 machine: %d shards, want 4 (one per module)", n)
+	}
+}
+
+// TestNewIsOneShard pins New as the one-shard plan: every module on the
+// caller's kernel, nothing staged, and the kernel still drivable
+// directly with no window accounting in the machine's stats.
+func TestNewIsOneShard(t *testing.T) {
+	k := sim.NewKernel()
+	m, err := New(k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Group.Shards() != 1 || m.Group.Shard(0) != k || m.K != k || len(m.Modules) != 2 {
+		t.Fatalf("shards=%d modules=%d, want the caller's kernel as the only shard of 2 modules",
+			m.Group.Shards(), len(m.Modules))
+	}
+	var ok bool
+	m.GoNode(15, "rx", func(p *sim.Proc) {
+		src, payload := m.Endpoint(15).Recv(p, 1)
+		ok = src == 0 && string(payload) == "one kernel"
+	})
+	m.GoNode(0, "tx", func(p *sim.Proc) {
+		if err := m.Endpoint(0).Send(p, 15, 1, []byte("one kernel")); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	k.Run(0)
+	if !ok {
+		t.Fatal("message across modules failed")
+	}
+	if st := m.SimStats(); st.Windows != 0 || st.CrossShard != 0 || st.Shards != nil {
+		t.Fatalf("one-shard stats carry window accounting: %+v", st)
 	}
 }
 

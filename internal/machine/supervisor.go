@@ -46,10 +46,10 @@ type Supervisor struct {
 	prevSnaps []*module.Snapshot
 	lastCkpt  sim.Time
 
-	// Partitioned-machine uplinks into the shard-0 control plane:
-	// up[s]/okUp[s] deliver alarms and ok tokens from shard s into the
-	// alarm and okc channels. gen tags ok tokens so leftovers of a
-	// halted restart are skipped.
+	// Uplinks into the shard-0 control plane: up[s]/okUp[s] deliver
+	// alarms and ok tokens from shard s ≥ 1 into the alarm and okc
+	// channels. gen tags ok tokens so leftovers of a halted restart are
+	// skipped.
 	up   []*sim.XChan
 	okc  *sim.Chan
 	okUp []*sim.XChan
@@ -76,24 +76,22 @@ type Supervisor struct {
 // policy from the machine's Spec.Recovery.
 func NewSupervisor(m *Machine) *Supervisor {
 	r := m.Spec.Recovery
+	shards := m.Group.Shards()
 	sv := &Supervisor{
 		M:           m,
 		MaxRestarts: r.MaxRestarts,
 		DrainTime:   r.DrainTime,
 		alarm:       sim.NewChan(m.K, "supervisor/alarm", 1024),
+		okc:         sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes),
 		hung:        make([]bool, m.Spec.Nodes),
+		up:          make([]*sim.XChan, shards),
+		okUp:        make([]*sim.XChan, shards),
 	}
-	if m.Group != nil {
-		// Persistent uplink edges from every non-control shard into the
-		// shard-0 alarm and ok channels, with the plan's lookahead.
-		shards := m.Group.Shards()
-		sv.okc = sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes)
-		sv.up = make([]*sim.XChan, shards)
-		sv.okUp = make([]*sim.XChan, shards)
-		for s := 1; s < shards; s++ {
-			sv.up[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/alarmup%d", s), m.Plan.Lookahead, sv.alarm)
-			sv.okUp[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/okup%d", s), m.Plan.Lookahead, sv.okc)
-		}
+	// Persistent uplink edges from every non-control shard into the
+	// shard-0 alarm and ok channels, with the plan's lookahead.
+	for s := 1; s < shards; s++ {
+		sv.up[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/alarmup%d", s), m.Plan.Lookahead, sv.alarm)
+		sv.okUp[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/okup%d", s), m.Plan.Lookahead, sv.okc)
 	}
 	return sv
 }
@@ -106,12 +104,12 @@ func (sv *Supervisor) post(err error) {
 	})
 }
 
-// postNode raises an alarm about node id from that node's shard: on a
-// partitioned machine the posting process runs on the owning shard's
-// kernel and the alarm travels the staged uplink edge.
+// postNode raises an alarm about node id from that node's shard: off
+// shard 0 the posting process runs on the owning shard's kernel and the
+// alarm travels the staged uplink edge.
 func (sv *Supervisor) postNode(id int, err error) {
 	s := sv.M.shardOf(id)
-	if sv.M.Group == nil || s == 0 {
+	if s == 0 {
 		sv.post(err)
 		return
 	}
@@ -173,11 +171,11 @@ func (sv *Supervisor) Checkpoint(p *sim.Proc) error {
 	// A snapshot floods the module threads for seconds; a detector left
 	// watching would read the delayed beats as silence. The detector
 	// state lives on shard 0, while the checkpointing process may run
-	// anywhere — globalOp flips the suspension with every shard
-	// quiescent (inline on a serial machine).
+	// anywhere — a Global section flips the suspension with every shard
+	// quiescent (inline on one shard).
 	if sv.det != nil {
-		sv.M.globalOp(p, func(sim.Time) { sv.det.Suspend() })
-		defer sv.M.globalOp(p, func(sim.Time) { sv.det.Resume() })
+		sv.M.Group.Global(p, func(sim.Time) { sv.det.Suspend() })
+		defer sv.M.Group.Global(p, func(sim.Time) { sv.det.Resume() })
 	}
 	snaps, err := sv.M.SnapshotAll(p)
 	if err != nil {
@@ -195,56 +193,6 @@ func (sv *Supervisor) MaybeCheckpoint(p *sim.Proc, interval sim.Duration) error 
 		return nil
 	}
 	return sv.Checkpoint(p)
-}
-
-// Run executes body once per node under supervision: it takes an
-// initial checkpoint, spawns one process per node, and waits for all
-// of them — or for a fault. A body that returns an error raises an
-// alarm (so does the fault injector, for crashes); the supervisor then
-// halts everything, rolls the machine back, and replays, up to
-// MaxRestarts times.
-func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) error {
-	if sv.M.Group != nil {
-		return sv.runSharded(p, body)
-	}
-	n := sv.M.Spec.Nodes
-	if err := sv.Checkpoint(p); err != nil {
-		return err
-	}
-	for restart := 0; ; restart++ {
-		okc := sim.NewChan(sv.M.K, fmt.Sprintf("supervisor/ok%d", restart), n)
-		sv.procs = make([]*sim.Proc, n)
-		for id := 0; id < n; id++ {
-			nodeID := id
-			sv.procs[id] = sv.M.K.Go(fmt.Sprintf("supervisor/n%d", nodeID), func(bp *sim.Proc) {
-				if err := body(bp, nodeID); err != nil {
-					sv.noteFault(err)
-					sv.alarm.Send(bp, err)
-					return
-				}
-				okc.Send(bp, struct{}{})
-			})
-		}
-		var faultErr error
-		for oks := 0; oks < n && faultErr == nil; {
-			which, v := sim.Select(p, sv.alarm, okc)
-			if which == 0 {
-				faultErr = v.(error)
-			} else {
-				oks++
-			}
-		}
-		if faultErr == nil {
-			return nil
-		}
-		if restart >= sv.MaxRestarts {
-			sv.killBodies()
-			return fmt.Errorf("supervisor: giving up after %d restarts: %v", restart, faultErr)
-		}
-		if err := sv.recover(p); err != nil {
-			return err
-		}
-	}
 }
 
 // killBodies halts every outstanding body process. Give-up paths must
@@ -268,41 +216,8 @@ func (sv *Supervisor) noteFault(err error) {
 	}
 }
 
-// recover is the rollback sequence: halt, drain, flush, repair,
-// restore, and clear stale alarms.
-func (sv *Supervisor) recover(p *sim.Proc) error {
-	start := p.Now()
-	sv.killBodies()
-	// A crash can land mid-checkpoint; abort the snapshot workers too,
-	// or a stale collector would swallow the chunks of later snapshots.
-	for _, mod := range sv.M.Modules {
-		mod.AbortSnapshot()
-	}
-	// Let in-flight DMA transfers and router forwards run out before
-	// flushing, so nothing re-enters the queues behind our back.
-	p.Wait(sv.DrainTime)
-	sv.M.Net.Flush()
-	for _, mod := range sv.M.Modules {
-		mod.FlushThread()
-	}
-	for _, nd := range sv.M.Nodes {
-		if !nd.Alive() {
-			nd.Repair()
-		}
-	}
-	// Rewind to the newest snapshot; if its blocks rotted on disk,
-	// fall back one generation.
-	if err := sv.restoreLatest(p); err != nil {
-		return err
-	}
-	sv.Rollbacks++
-	sv.drainAlarms()
-	sv.LastRecovery = p.Now().Sub(start)
-	return nil
-}
-
-// okTok is one body-completed token on a partitioned machine, tagged
-// with the restart generation so tokens of a halted restart are skipped.
+// okTok is one body-completed token, tagged with the restart
+// generation so tokens of a halted restart are skipped.
 type okTok struct{ gen int64 }
 
 // raise sends a body error toward the shard-0 alarm channel.
@@ -323,11 +238,16 @@ func (sv *Supervisor) okDone(bp *sim.Proc, shard int, gen int64) {
 	sv.okUp[shard].Send(bp, okTok{gen: gen})
 }
 
-// runSharded is Run for a partitioned machine: bodies spawn on their
-// nodes' own shards inside a Global section, completions and alarms
-// travel the staged uplink edges, and the supervising process (which
-// must run on shard 0, where the alarm channel lives) collects them.
-func (sv *Supervisor) runSharded(p *sim.Proc, body func(bp *sim.Proc, id int) error) error {
+// Run executes body once per node under supervision: it takes an
+// initial checkpoint, spawns one process per node, and waits for all
+// of them — or for a fault. A body that returns an error raises an
+// alarm (so does the fault injector, for crashes); the supervisor then
+// halts everything, rolls the machine back, and replays, up to
+// MaxRestarts times. Bodies spawn on their nodes' own shards inside a
+// Global section, completions and alarms travel the staged uplink
+// edges, and the supervising process (which must run on shard 0, where
+// the alarm channel lives) collects them.
+func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) error {
 	m := sv.M
 	n := m.Spec.Nodes
 	if err := sv.Checkpoint(p); err != nil {
@@ -364,25 +284,30 @@ func (sv *Supervisor) runSharded(p *sim.Proc, body func(bp *sim.Proc, id int) er
 			return nil
 		}
 		if restart >= sv.MaxRestarts {
-			m.globalOp(p, func(sim.Time) { sv.killBodies() })
+			m.Group.Global(p, func(sim.Time) { sv.killBodies() })
 			return fmt.Errorf("supervisor: giving up after %d restarts: %v", restart, faultErr)
 		}
-		if err := sv.recoverSharded(p); err != nil {
+		if err := sv.recover(p); err != nil {
 			return err
 		}
 	}
 }
 
-// recoverSharded is the rollback sequence on a partitioned machine. The
-// halt/flush/repair steps mutate state owned by every shard, so each
-// runs in a Global section; the drain wait between them is real
-// simulated time, during which in-flight staged frames (bounded by the
-// frame transfer time, microseconds against a 500 ms drain) settle.
-func (sv *Supervisor) recoverSharded(p *sim.Proc) error {
+// recover is the recovery sequence: halt, drain, flush, repair,
+// restore, and clear stale alarms. The halt/flush/repair steps mutate
+// state owned by every shard, so each runs in a Global section; the
+// drain wait between them is real simulated time, during which
+// in-flight DMA transfers, router forwards and staged frames (bounded
+// by the frame transfer time, microseconds against a 500 ms drain)
+// settle, so nothing re-enters the queues behind our back.
+func (sv *Supervisor) recover(p *sim.Proc) error {
 	m := sv.M
 	start := p.Now()
 	m.Group.Global(p, func(sim.Time) {
 		sv.killBodies()
+		// A crash can land mid-checkpoint; abort the snapshot workers
+		// too, or a stale collector would swallow the chunks of later
+		// snapshots.
 		for _, mod := range m.Modules {
 			mod.AbortSnapshot()
 		}
@@ -399,6 +324,8 @@ func (sv *Supervisor) recoverSharded(p *sim.Proc) error {
 			}
 		}
 	})
+	// Rewind to the newest snapshot; if its blocks rotted on disk,
+	// fall back one generation.
 	if err := sv.restoreLatest(p); err != nil {
 		return err
 	}
@@ -446,42 +373,30 @@ func (m *Machine) ArmFaults(plan *fault.Plan, sv *Supervisor) {
 	m.ArmFaultsSink(plan, sink)
 }
 
-// ArmFaultsSink is ArmFaults with an arbitrary fault observer.
-//
-// On a serial machine the plan itself is the injector on every link: a
-// single splitmix64 stream consumed in kernel order. A partitioned
-// machine cannot share one stream across shards, so each link gets its
-// own stream derived from (seed, link name) — created here, in host
-// context, so stream creation never depends on simulation scheduling —
-// and each timed event is scheduled on its target's owning shard.
+// ArmFaultsSink is ArmFaults with an arbitrary fault observer. Each
+// timed event is scheduled on its target's owning shard.
 func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 	if plan == nil {
 		return
 	}
-	if m.Group == nil {
-		for _, nd := range m.Nodes {
-			for _, l := range nd.Links {
-				l.SetInjector(plan)
-			}
-		}
-		for _, mod := range m.Modules {
-			mod.Sys.Link.SetInjector(plan)
-		}
-		for _, ev := range plan.Events {
-			ev := ev
-			m.K.At(sim.Time(ev.At), func() { m.applyFault(ev, sink) })
-		}
-		return
+	// One shard keeps the plan itself as the injector on every link: a
+	// single splitmix64 stream consumed in kernel order, which is what
+	// every serial fault fingerprint was recorded with. Several shards
+	// cannot share one stream, so each link gets its own, derived from
+	// (seed, link name) — created here, in host context, so stream
+	// creation never depends on simulation scheduling.
+	inject := func(l *link.Link) link.Injector { return plan }
+	if m.Group.Shards() > 1 {
+		m.faults = fault.NewSharded(plan)
+		inject = func(l *link.Link) link.Injector { return m.faults.ForLink(l.Name) }
 	}
-	sp := fault.NewSharded(plan)
-	m.faults = sp
 	for _, nd := range m.Nodes {
 		for _, l := range nd.Links {
-			l.SetInjector(sp.ForLink(l.Name))
+			l.SetInjector(inject(l))
 		}
 	}
 	for _, mod := range m.Modules {
-		mod.Sys.Link.SetInjector(sp.ForLink(mod.Sys.Link.Name))
+		mod.Sys.Link.SetInjector(inject(mod.Sys.Link))
 	}
 	for _, ev := range plan.Events {
 		ev := ev
@@ -542,7 +457,7 @@ func (m *Machine) FaultReport(plan *fault.Plan, sv *Supervisor) stats.FaultCount
 		fc.BitsFlipped = plan.BitsFlipped
 	}
 	if m.faults != nil {
-		// Partitioned injection: the per-link streams hold the counts
+		// Per-link injection (several shards): those streams hold the counts
 		// (the plan's own stream was never consumed).
 		f, b := m.faults.Totals()
 		fc.FramesCorrupted += f

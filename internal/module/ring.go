@@ -17,30 +17,13 @@ const kindBackup = 3
 
 // ConnectRing wires the module system boards into a unidirectional ring
 // (module i's ring-out to module i+1's ring-in) and starts a ring
-// service daemon on each board that stores arriving backup blocks on the
-// local disk.
-func ConnectRing(k *sim.Kernel, mods []*Module) error {
-	if len(mods) < 2 {
-		return fmt.Errorf("module: a ring needs at least two modules")
-	}
-	for i := range mods {
-		next := mods[(i+1)%len(mods)]
-		if err := link.Connect(mods[i].Sys.Link.Sublink(sysRingOut), next.Sys.Link.Sublink(sysRingIn)); err != nil {
-			return err
-		}
-	}
-	for _, m := range mods {
-		startRingDaemon(k, m)
-	}
-	return nil
-}
-
-// ConnectRingOn is ConnectRing for a partitioned machine: ring segments
-// whose endpoints live on different shard kernels become staged link
-// pairs over XChan edges (one per direction) with the link-layer
-// lookahead, and each module's ring daemon runs on that module's own
-// kernel. shardOf maps a module index to its owning shard.
-func ConnectRingOn(g *sim.ShardGroup, mods []*Module, shardOf func(idx int) int) error {
+// service daemon on each board, on that module's own kernel, that
+// stores arriving backup blocks on the local disk. The modules may be
+// spread over the shards of g (shardOf maps a module index to its
+// owning shard): ring segments whose endpoints live on different shard
+// kernels become staged link pairs over XChan edges (one per direction)
+// with the link-layer lookahead.
+func ConnectRing(g *sim.ShardGroup, mods []*Module, shardOf func(idx int) int) error {
 	if len(mods) < 2 {
 		return fmt.Errorf("module: a ring needs at least two modules")
 	}
@@ -62,16 +45,16 @@ func ConnectRingOn(g *sim.ShardGroup, mods []*Module, shardOf func(idx int) int)
 		}
 	}
 	for _, m := range mods {
-		startRingDaemon(m.k, m)
+		startRingDaemon(m)
 	}
 	return nil
 }
 
-// startRingDaemon runs one module's ring service loop on kernel k:
+// startRingDaemon runs one module's ring service loop on its kernel:
 // store arriving backup blocks, consume addressed health summaries,
 // relay the rest.
-func startRingDaemon(k *sim.Kernel, mod *Module) {
-	k.GoDaemon(fmt.Sprintf("mod%d/sys/ring", mod.Index), func(p *sim.Proc) {
+func startRingDaemon(mod *Module) {
+	mod.k.GoDaemon(fmt.Sprintf("mod%d/sys/ring", mod.Index), func(p *sim.Proc) {
 		for {
 			raw := mod.Sys.Link.Sublink(sysRingIn).Recv(p)
 			if len(raw) < 3 {

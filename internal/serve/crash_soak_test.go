@@ -80,7 +80,7 @@ func soakSpecs() []*JobSpec {
 // recovered result must match byte for byte.
 func goldenBodies(t *testing.T, specs []*JobSpec) map[string][]byte {
 	t.Helper()
-	s := New(Options{Workers: 2, Rate: 10000, Burst: 10000, MaxInFlight: 10000})
+	s := openMem(t, Options{Workers: 2, Rate: 10000, Burst: 10000, MaxInFlight: 10000})
 	defer s.Drain(10 * time.Second)
 	golden := map[string][]byte{}
 	for _, sp := range specs {

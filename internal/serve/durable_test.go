@@ -172,7 +172,7 @@ func TestRecoveryRerunsInterruptedJobs(t *testing.T) {
 
 	// Resolve the spec once (memory-only) to learn its content key, then
 	// plant the crashed process's journal.
-	scratch := New(Options{Lookup: lookupOf(fr)})
+	scratch := openMem(t, Options{Lookup: lookupOf(fr)})
 	sp := spec("fake", map[string]string{"dim": "2", "rows": "9"})
 	tsk, apiErr := scratch.resolve(sp)
 	if apiErr != nil {
@@ -210,7 +210,7 @@ func TestRecoveryRerunsInterruptedJobs(t *testing.T) {
 		t.Fatalf("recovery stats after finish: %+v", snap)
 	}
 	// Re-run must have produced the same bytes a direct run would.
-	direct := New(Options{Lookup: lookupOf(&fakeRunner{name: "fake", flags: []string{"dim", "rows"}})})
+	direct := openMem(t, Options{Lookup: lookupOf(&fakeRunner{name: "fake", flags: []string{"dim", "rows"}})})
 	defer direct.Drain(time.Second)
 	dj, _, apiErr := direct.Submit(sp)
 	if apiErr != nil {
@@ -259,7 +259,7 @@ func TestRecoveryUnresolvableSpecFailsLoudly(t *testing.T) {
 func TestTornJournalTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	fr := &fakeRunner{name: "fake", flags: []string{"dim", "rows"}}
-	scratch := New(Options{Lookup: lookupOf(fr)})
+	scratch := openMem(t, Options{Lookup: lookupOf(fr)})
 	sp := spec("fake", map[string]string{"dim": "2"})
 	tsk, _ := scratch.resolve(sp)
 	scratch.Drain(time.Second)

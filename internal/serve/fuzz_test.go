@@ -48,7 +48,7 @@ func FuzzParseJob(f *testing.F) {
 	// specs exercise admission end to end, generous quotas so the only
 	// 429s are real queue pressure.
 	fr := &fakeRunner{name: "fake", flags: []string{"dim", "rows", "pad", "faults", "chaos"}}
-	srv := New(Options{Workers: 2, Queue: 64, Rate: 1e9, Burst: 1e9, MaxInFlight: 1 << 30,
+	srv := openMem(f, Options{Workers: 2, Queue: 64, Rate: 1e9, Burst: 1e9, MaxInFlight: 1 << 30,
 		Lookup: lookupOf(fr)})
 	handler := srv.Handler()
 	// Fuzz workers may leave admitted jobs in flight; unwind the pool

@@ -14,7 +14,7 @@ import (
 // and watch readiness flip while liveness stays up.
 func TestHTTPJobRoundTrip(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: []string{"dim", "rows"}, delay: 2 * time.Millisecond}
-	s := New(Options{Workers: 1, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, Lookup: lookupOf(fr)})
 	h := s.Handler()
 
 	do := func(method, path, body string) *httptest.ResponseRecorder {
@@ -121,7 +121,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 // is a 409, not a hang or an empty 200.
 func TestHTTPResultBeforeDone(t *testing.T) {
 	fr := &fakeRunner{name: "slow", block: true}
-	s := New(Options{Workers: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 	h := s.Handler()
 

@@ -99,7 +99,7 @@ func TestCacheKeyProperty(t *testing.T) {
 // a real workload equals encoding the runner's Report directly — the
 // same bytes `tsim -workload saxpy -dim 1 -rows 5 -json` prints.
 func TestCachedBodyByteIdenticalToDirectRun(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := openMem(t, Options{Workers: 1})
 	defer s.Drain(5 * time.Second)
 	flags := map[string]string{"dim": "1", "rows": "5"}
 
@@ -157,7 +157,7 @@ func TestServerParallelismDoesNotChangeBytes(t *testing.T) {
 		{"dim": "3", "rows": "8"},
 	}
 	run := func(workers int) map[string][]byte {
-		s := New(Options{Workers: workers})
+		s := openMem(t, Options{Workers: workers})
 		defer s.Drain(10 * time.Second)
 		ids := map[string]string{}
 		for _, flags := range specs {
@@ -212,7 +212,7 @@ func TestExperimentResultMatchesGolden(t *testing.T) {
 		t.Fatal("golden fixture has no E1 entry")
 	}
 
-	s := New(Options{Workers: 1})
+	s := openMem(t, Options{Workers: 1})
 	defer s.Drain(30 * time.Second)
 	j, _, apiErr := s.Submit(&JobSpec{Experiment: "E1"})
 	if apiErr != nil {

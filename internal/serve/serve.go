@@ -266,23 +266,13 @@ func (s *Server) releaseShards(got int) {
 	s.shardMu.Unlock()
 }
 
-// New builds a memory-only Server and starts its worker pool. For a
-// crash-safe server with a data dir use Open, which can fail (a corrupt
-// journal refuses recovery).
-func New(opts Options) *Server {
-	opts.DataDir = ""
-	s, err := Open(opts)
-	if err != nil {
-		panic("serve: memory-only New failed: " + err.Error()) // unreachable: only DataDir paths error
-	}
-	return s
-}
-
-// Open builds a Server and starts its worker pool. With Options.DataDir
-// set it first recovers the previous process's state: the job journal
-// is replayed (completed jobs re-registered against the result store,
-// interrupted jobs re-queued for a deterministic re-run) and /readyz
-// stays unready until every recovered job reaches a terminal state.
+// Open builds a Server and starts its worker pool. Without
+// Options.DataDir the server is memory-only and Open cannot fail. With
+// it set, Open first recovers the previous process's state: the job
+// journal is replayed (completed jobs re-registered against the result
+// store, interrupted jobs re-queued for a deterministic re-run) and
+// /readyz stays unready until every recovered job reaches a terminal
+// state.
 // Mid-file journal corruption aborts with a *durable.CorruptError in
 // the chain — by design Open refuses to serve from lying history.
 func Open(opts Options) (*Server, error) {

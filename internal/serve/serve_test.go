@@ -13,6 +13,16 @@ import (
 	"tseries/internal/workloads"
 )
 
+// openMem opens a memory-only server (no data dir), which cannot fail.
+func openMem(t testing.TB, opts Options) *Server {
+	t.Helper()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return s
+}
+
 // fakeRunner scripts workload behavior through the Options.Lookup seam:
 // latency, a countdown of transient failures, a panic, or blocking
 // until the job context is canceled. It lets the admission, retry,
@@ -99,7 +109,7 @@ func spec(workload string, flags map[string]string) *JobSpec {
 
 func TestJobLifecycleToDone(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: []string{"dim", "rows"}, delay: 2 * time.Millisecond}
-	s := New(Options{Workers: 2, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 2, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j, fresh, apiErr := s.Submit(spec("fake", map[string]string{"dim": "2", "rows": "7"}))
@@ -127,7 +137,7 @@ func TestJobLifecycleToDone(t *testing.T) {
 
 func TestTransientFailuresRetryToSuccess(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: []string{"dim"}, transient: 2}
-	s := New(Options{Workers: 1, RetryMax: 3, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, RetryMax: 3, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j, _, apiErr := s.Submit(spec("fake", nil))
@@ -148,7 +158,7 @@ func TestTransientFailuresRetryToSuccess(t *testing.T) {
 
 func TestPermanentFailureIsNotRetried(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: nil, permanent: "verification failed"}
-	s := New(Options{Workers: 1, RetryMax: 5, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, RetryMax: 5, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j, _, apiErr := s.Submit(spec("fake", nil))
@@ -170,7 +180,7 @@ func TestPermanentFailureIsNotRetried(t *testing.T) {
 func TestPanicIsolatedToJob(t *testing.T) {
 	bad := &fakeRunner{name: "bad", panicMsg: "index out of range [8] with length 8"}
 	good := &fakeRunner{name: "good"}
-	s := New(Options{Workers: 1, Lookup: lookupOf(bad, good)})
+	s := openMem(t, Options{Workers: 1, Lookup: lookupOf(bad, good)})
 	defer s.Drain(time.Second)
 
 	jb, _, apiErr := s.Submit(spec("bad", nil))
@@ -202,7 +212,7 @@ func TestPanicIsolatedToJob(t *testing.T) {
 
 func TestJobDeadlineTimesOut(t *testing.T) {
 	fr := &fakeRunner{name: "slow", block: true}
-	s := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j, _, apiErr := s.Submit(spec("slow", nil))
@@ -222,7 +232,7 @@ func TestJobDeadlineTimesOut(t *testing.T) {
 // live collapse onto one job, regardless of flag order.
 func TestSingleFlightDedup(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: []string{"dim", "rows"}, delay: 50 * time.Millisecond}
-	s := New(Options{Workers: 2, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 2, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j1, fresh1, apiErr := s.Submit(spec("fake", map[string]string{"dim": "2", "rows": "9"}))
@@ -253,7 +263,7 @@ func TestRateLimit(t *testing.T) {
 	// seam while the test advances it, so it needs its own lock.
 	var clockMu sync.Mutex
 	now := time.Unix(1000, 0)
-	s := New(Options{Workers: 1, Rate: 1, Burst: 2, Lookup: lookupOf(fr),
+	s := openMem(t, Options{Workers: 1, Rate: 1, Burst: 2, Lookup: lookupOf(fr),
 		Now: func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }})
 	defer s.Drain(time.Second)
 
@@ -277,7 +287,7 @@ func TestRateLimit(t *testing.T) {
 
 func TestInFlightQuota(t *testing.T) {
 	fr := &fakeRunner{name: "slow", flags: []string{"rows"}, block: true}
-	s := New(Options{Workers: 1, MaxInFlight: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, MaxInFlight: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	if _, _, apiErr := s.Submit(spec("slow", map[string]string{"rows": "1"})); apiErr != nil {
@@ -291,7 +301,7 @@ func TestInFlightQuota(t *testing.T) {
 
 func TestQueueFullRejectsWithRollback(t *testing.T) {
 	fr := &fakeRunner{name: "slow", flags: []string{"rows"}, block: true}
-	s := New(Options{Workers: 1, Queue: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, Queue: 1, JobTimeout: 50 * time.Millisecond, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	// First job occupies the worker, second fills the queue.
@@ -323,7 +333,7 @@ func TestQueueFullRejectsWithRollback(t *testing.T) {
 
 func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: []string{"rows"}, delay: 5 * time.Millisecond}
-	s := New(Options{Workers: 2, Queue: 16, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 2, Queue: 16, Lookup: lookupOf(fr)})
 
 	var ids []string
 	for i := 0; i < 8; i++ {
@@ -354,7 +364,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 
 func TestForcedDrainCancelsBlockedJobs(t *testing.T) {
 	fr := &fakeRunner{name: "stuck", block: true}
-	s := New(Options{Workers: 1, JobTimeout: time.Hour, Lookup: lookupOf(fr)})
+	s := openMem(t, Options{Workers: 1, JobTimeout: time.Hour, Lookup: lookupOf(fr)})
 
 	j, _, apiErr := s.Submit(spec("stuck", nil))
 	if apiErr != nil {
@@ -389,7 +399,7 @@ func TestForcedDrainCancelsBlockedJobs(t *testing.T) {
 func TestOverloadSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	fr := &fakeRunner{name: "fake", flags: []string{"rows"}, delay: 2 * time.Millisecond}
-	s := New(Options{
+	s := openMem(t, Options{
 		Workers: 2, Queue: 4, JobTimeout: 5 * time.Second,
 		Rate: 1e6, Burst: 1e6, MaxInFlight: 1 << 20,
 		Lookup: lookupOf(fr),
@@ -477,7 +487,7 @@ func TestOverloadSoak(t *testing.T) {
 func TestDrainMidSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	fr := &fakeRunner{name: "fake", flags: []string{"rows"}, delay: 3 * time.Millisecond}
-	s := New(Options{
+	s := openMem(t, Options{
 		Workers: 2, Queue: 16, JobTimeout: 5 * time.Second,
 		Rate: 1e6, Burst: 1e6, MaxInFlight: 1 << 20,
 		Lookup: lookupOf(fr),
@@ -552,7 +562,7 @@ func TestKernelShardsHostingKnob(t *testing.T) {
 		t.Fatalf("parse: shards=%d err=%+v", parsed.KernelShards, apiErr)
 	}
 
-	s := New(Options{Workers: 1, ShardBudget: 2})
+	s := openMem(t, Options{Workers: 1, ShardBudget: 2})
 	defer s.Drain(10 * time.Second)
 	flags := map[string]string{"dim": "3", "rows": "20", "iters": "2"}
 

@@ -140,3 +140,37 @@ func TestPanicTeardownLeaksNoGoroutines(t *testing.T) {
 	}()
 	waitGoroutines(t, base)
 }
+
+// TestCloseReleasesFinishedRun: a run that ends normally leaves its
+// daemons parked, and a horizon leaves work pending. Close must unwind
+// all of them, on a lone kernel and across the shards of a group.
+func TestCloseReleasesFinishedRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	populate := func(k *Kernel) []*Proc {
+		ch := NewChan(k, "idle", 0)
+		return []*Proc{
+			k.GoDaemon("router", func(p *Proc) { ch.Recv(p) }),
+			k.GoDaemon("heartbeat", func(p *Proc) {
+				for {
+					p.Wait(Microsecond)
+				}
+			}),
+			k.Go("late", func(p *Proc) { p.Wait(Second) }),
+		}
+	}
+	k := NewKernel()
+	procs := populate(k)
+	k.Run(Millisecond)
+	k.Close()
+	g := NewShardGroup(2)
+	procs = append(procs, populate(g.Shard(0))...)
+	procs = append(procs, populate(g.Shard(1))...)
+	g.Run(Millisecond)
+	g.Close()
+	for _, p := range procs {
+		if !p.Done() {
+			t.Errorf("%s still parked after Close", p.Name())
+		}
+	}
+	waitGoroutines(t, base)
+}

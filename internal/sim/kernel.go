@@ -58,7 +58,6 @@ type Kernel struct {
 	yielded chan struct{} // the hand-off chain signals here when the kernel goroutine must take over
 	procs   int           // live (not yet finished) non-daemon processes
 	running *Proc         // process currently executing, nil in kernel context
-	tracef  func(format string, args ...interface{})
 
 	// Execution metrics (see Stats) and the optional observer surface.
 	events      int64
@@ -157,12 +156,16 @@ func (k *Kernel) beginTeardown() {
 	}
 }
 
-// teardown force-unwinds a simulation that ended abnormally (context
-// cancellation already mid-teardown, a process panic, or a deadlock
-// panic): it kills all processes and dispatches until their goroutines
-// have exited. Best-effort — a second panic during the unwind abandons
-// the remaining cleanup rather than masking the original failure.
-func (k *Kernel) teardown() {
+// Close releases a finished simulation: it kills every process still
+// parked — daemons left blocked when the run drained, or work beyond a
+// horizon — and dispatches until their goroutines have exited, so
+// nothing keeps the kernel reachable. Call it after Run has returned
+// and every result has been read; the kernel must not run again.
+// Abnormal runs (context cancellation, a process panic, a deadlock
+// panic) close themselves. Best-effort — a second panic during the
+// unwind abandons the remaining cleanup rather than masking the
+// original failure.
+func (k *Kernel) Close() {
 	defer func() { recover() }()
 	k.stopped = false
 	k.beginTeardown()
@@ -174,15 +177,6 @@ func (k *Kernel) teardown() {
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// SetTrace installs a debug trace sink (nil disables tracing).
-func (k *Kernel) SetTrace(f func(format string, args ...interface{})) { k.tracef = f }
-
-func (k *Kernel) trace(format string, args ...interface{}) {
-	if k.tracef != nil {
-		k.tracef(format, args...)
-	}
-}
 
 // pushLane appends a same-instant event to the FIFO ring.
 func (k *Kernel) pushLane(fn func(), p *Proc) {
@@ -317,7 +311,7 @@ func (k *Kernel) Run(horizon Duration) Time {
 	// isolate a panicking job and keep serving.
 	defer func() {
 		if r := recover(); r != nil {
-			k.teardown()
+			k.Close()
 			panic(r)
 		}
 	}()
@@ -608,16 +602,12 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 				p.onExit[i]()
 			}
 			k.running = nil
-			if r != nil {
-				if _, ok := r.(killed); ok {
-					k.trace("proc %s killed at %v", p.name, k.now)
-				} else {
-					// A real bug in a process body: re-arm it on the
-					// kernel goroutine so Run panics with it.
-					k.pendingPanic = r
-					k.yielded <- struct{}{}
-					return
-				}
+			if _, ok := r.(killed); r != nil && !ok {
+				// A real bug in a process body: re-arm it on the
+				// kernel goroutine so Run panics with it.
+				k.pendingPanic = r
+				k.yielded <- struct{}{}
+				return
 			}
 			// Hand the slot back to the kernel goroutine (always parked
 			// on yielded while any process runs). Exits are rare, so the
@@ -630,7 +620,6 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		if p.dead {
 			panic(killed{p.name}) // killed before it ever ran
 		}
-		k.trace("proc %s start at %v", p.name, k.now)
 		fn(p)
 	}()
 	k.atProc(k.now, p)

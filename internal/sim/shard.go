@@ -113,17 +113,34 @@ func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: shard group needs at least one shard")
 	}
-	g := &ShardGroup{
-		shards:    make([]*Kernel, n),
+	shards := make([]*Kernel, n)
+	for i := range shards {
+		shards[i] = NewKernel()
+	}
+	return newShardGroup(shards)
+}
+
+// OneShard wraps an existing kernel as a one-shard group: the kernel's
+// clock, pending events and bound context carry over, and the caller
+// may keep driving it directly with Kernel.Run. Partition-agnostic
+// builders take a group, so this is how a serial simulation is handed
+// to them. With no peer shard, Global runs inline and Run executes one
+// unbounded window — exactly a Kernel.Run.
+func OneShard(k *Kernel) *ShardGroup {
+	g := newShardGroup([]*Kernel{k})
+	g.ctx = k.ctx
+	return g
+}
+
+func newShardGroup(shards []*Kernel) *ShardGroup {
+	n := len(shards)
+	return &ShardGroup{
+		shards:    shards,
 		workers:   1,
 		stall:     make([]Duration, n),
 		staged:    make([]int64, n),
 		globalSeq: make([]int64, n),
 	}
-	for i := range g.shards {
-		g.shards[i] = NewKernel()
-	}
-	return g
 }
 
 // NewShardGroupCtx returns a group bound to ctx: cancellation tears the
@@ -192,13 +209,21 @@ func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 // SetWindowObserver installs a barrier observer (nil removes it).
 func (g *ShardGroup) SetWindowObserver(o WindowObserver) { g.winObs = o }
 
-// Canceled reports whether the run was torn down by the bound context.
-func (g *ShardGroup) Canceled() bool { return g.canceled }
+// Canceled reports whether the run was torn down by the bound context,
+// including a shard kernel the caller ran directly (see OneShard).
+func (g *ShardGroup) Canceled() bool {
+	for _, k := range g.shards {
+		if k.ctxCanceled {
+			return true
+		}
+	}
+	return g.canceled
+}
 
 // Err returns nil for a normal run, or the bound context's error when
 // the run was canceled mid-flight.
 func (g *ShardGroup) Err() error {
-	if !g.canceled {
+	if !g.Canceled() {
 		return nil
 	}
 	if g.ctx != nil {
@@ -397,11 +422,12 @@ func (g *ShardGroup) ctxFired() bool {
 	}
 }
 
-// teardownAll force-unwinds every shard, one at a time on the calling
-// goroutine, so no process goroutine outlives an abnormal run.
-func (g *ShardGroup) teardownAll() {
+// Close releases every shard (see Kernel.Close), one at a time on the
+// calling goroutine, so no process goroutine outlives the run. Abnormal
+// runs close the group themselves.
+func (g *ShardGroup) Close() {
 	for _, k := range g.shards {
-		k.teardown()
+		k.Close()
 	}
 }
 
@@ -426,7 +452,7 @@ func (g *ShardGroup) Run(horizon Duration) Time {
 	for {
 		if g.ctxFired() {
 			g.canceled = true
-			g.teardownAll()
+			g.Close()
 			return g.Now()
 		}
 		nextT, any := g.nextInstant()
@@ -445,6 +471,9 @@ func (g *ShardGroup) Run(horizon Duration) Time {
 				procs += k.procs
 			}
 			if procs > 0 {
+				// Unwind the blocked processes before reporting, as
+				// Kernel.Run does, so no goroutine outlives the panic.
+				g.Close()
 				panicDeadlock(g.Now(), procs)
 			}
 			return g.Now()
@@ -532,14 +561,14 @@ func (g *ShardGroup) runShardWindows(wEnd Time) bool {
 		}
 	}
 	if panicked != nil {
-		g.teardownAll()
+		g.Close()
 		panic(panicked)
 	}
 	for _, i := range active {
 		k := g.shards[i]
 		if k.ctxCanceled {
 			g.canceled = true
-			g.teardownAll()
+			g.Close()
 			return false
 		}
 		if wEnd != maxTime && k.now < wEnd {

@@ -201,8 +201,10 @@ func TestShardHorizon(t *testing.T) {
 }
 
 // TestShardDeadlock: processes blocked across shards with no pending
-// events anywhere must trip the group-level deadlock panic.
+// events anywhere must trip the group-level deadlock panic, after the
+// blocked processes have been unwound.
 func TestShardDeadlock(t *testing.T) {
+	g := NewShardGroup(2)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -211,8 +213,10 @@ func TestShardDeadlock(t *testing.T) {
 		if !strings.Contains(fmt.Sprint(r), "deadlock") {
 			t.Fatalf("unexpected panic: %v", r)
 		}
+		if live := g.Shard(1).Stats().LiveProcs; live != 0 {
+			t.Fatalf("%d blocked process(es) outlived the deadlock panic", live)
+		}
 	}()
-	g := NewShardGroup(2)
 	x := g.Connect(0, 1, "never", Microsecond, 0)
 	g.Shard(1).Go("waiter", func(p *Proc) { x.Recv(p) })
 	g.Run(0)
@@ -456,5 +460,68 @@ func BenchmarkShardWindow(b *testing.B) {
 		g := NewShardGroup(4)
 		buildRing(g, 8, 5*Microsecond)
 		g.Run(0)
+	}
+}
+
+// TestOneShardMatchesKernelRun: a kernel wrapped as a one-shard group
+// runs exactly as Kernel.Run would — same end clock, same stats — with
+// a horizon or to drain, and Global runs inline.
+func TestOneShardMatchesKernelRun(t *testing.T) {
+	build := func() *Kernel {
+		k := NewKernel()
+		for i := 0; i < 3; i++ {
+			i := i
+			k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for n := 0; n < 20; n++ {
+					p.Wait(Duration(1+(i*5+n*3)%11) * Microsecond)
+					k.Count("ticks", 1)
+				}
+			})
+		}
+		return k
+	}
+	for _, horizon := range []Duration{0, 40 * Microsecond} {
+		want := build()
+		want.Go("global", func(p *Proc) {})
+		wantEnd := want.Run(horizon)
+		k := build()
+		g := OneShard(k)
+		ran := false
+		k.Go("global", func(p *Proc) { g.Global(p, func(Time) { ran = true }) })
+		end := g.Run(horizon)
+		if end != wantEnd || !ran {
+			t.Fatalf("horizon %v: end %v (global ran %v), want %v", horizon, end, ran, wantEnd)
+		}
+		if got, w := k.Stats(), want.Stats(); !reflect.DeepEqual(got, w) {
+			t.Fatalf("horizon %v: stats diverged:\n got %+v\nwant %+v", horizon, got, w)
+		}
+	}
+}
+
+// TestOneShardAdoptsCancellation: the group takes over the wrapped
+// kernel's context, and reports a cancellation even when the caller
+// ran the kernel directly.
+func TestOneShardAdoptsCancellation(t *testing.T) {
+	for _, direct := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		k := NewKernelCtx(ctx)
+		g := OneShard(k)
+		k.Go("ticker", func(p *Proc) {
+			for {
+				p.Wait(Microsecond)
+			}
+		})
+		k.After(200*Microsecond, cancel)
+		if direct {
+			k.Run(0)
+		} else {
+			g.Run(0)
+		}
+		if g.Err() != context.Canceled || k.Err() != context.Canceled {
+			t.Fatalf("direct=%v: group Err = %v, kernel Err = %v, want context.Canceled", direct, g.Err(), k.Err())
+		}
+		if live := k.Stats().LiveProcs; live != 0 {
+			t.Fatalf("direct=%v: %d processes outlived the cancel", direct, live)
+		}
 	}
 }

@@ -67,6 +67,7 @@ func DistributedLU(ctx context.Context, dim, n int, a [][]float64) (DLUResult, e
 		return DLUResult{}, fmt.Errorf("workloads: DLU size 1..%d", memory.F64PerRow)
 	}
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	m, err := machine.New(k, dim)
 	if err != nil {
 		return DLUResult{}, err

@@ -87,6 +87,7 @@ func DistributedFFT(ctx context.Context, dim int, in []complex128) (FFTResult, e
 		return FFTResult{}, fmt.Errorf("workloads: FFT size must be a power of two")
 	}
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	m, err := machine.New(k, dim)
 	if err != nil {
 		return FFTResult{}, err

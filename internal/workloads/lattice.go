@@ -189,6 +189,7 @@ func DistributedLattice4D(ctx context.Context, dim, side, iters int, seed int64)
 	if err != nil {
 		return LatticeResult{}, err
 	}
+	defer m.Close()
 
 	// Field placement in node memory, in 64-bit elements: current copy
 	// at the base of the store, next copy on the following row boundary.

@@ -78,6 +78,7 @@ func LU(ctx context.Context, n int, a [][]float64, moveRows bool) (LUResult, err
 		return LUResult{}, fmt.Errorf("workloads: LU size 1..%d", memory.F64PerRow)
 	}
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	nd := node.New(k, 0)
 
 	// U evolves in memory rows 300+i (bank B); L accumulates in rows

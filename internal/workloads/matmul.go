@@ -70,6 +70,7 @@ func (r MatMulResult) MFLOPS() float64 {
 // node count.
 func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (MatMulResult, error) {
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	m, err := machine.New(k, dim)
 	if err != nil {
 		return MatMulResult{}, err

@@ -59,6 +59,7 @@ func runPRing(cfg Config) (Report, error) {
 	}
 
 	g := sim.NewShardGroupCtx(cfg.Context(), stations)
+	defer g.Close()
 	g.SetWorkers(cfg.Workers())
 	hop := link.TransferTime(pringFrameBytes)
 	fwd := make([]*sim.XChan, stations)

@@ -107,6 +107,7 @@ func FaultTolerantSAXPY(ctx context.Context, dim, phases, rowsPerPhase int, phas
 	if err != nil {
 		return RecoveryResult{}, err
 	}
+	defer m.Close()
 	sv := machine.NewSupervisor(m)
 	m.ArmFaults(plan, sv)
 	for _, nd := range m.Nodes {

@@ -2,8 +2,9 @@ package workloads
 
 import (
 	"context"
-
+	"errors"
 	"testing"
+	"time"
 
 	"tseries/internal/fault"
 	"tseries/internal/sim"
@@ -105,5 +106,23 @@ func TestFaultTolerantSAXPYLinkOutage(t *testing.T) {
 	}
 	if res.Rollbacks != 0 {
 		t.Fatalf("outage should not roll back, got %d rollbacks", res.Rollbacks)
+	}
+}
+
+// TestFaultTolerantSAXPYCancelMidRun cancels the run context while the
+// simulation is executing. A one-module machine (dim 2, one shard) and
+// a two-module one (dim 4, two shards) must both tear down and report
+// context.Canceled rather than a partial result.
+func TestFaultTolerantSAXPYCancelMidRun(t *testing.T) {
+	for _, dim := range []int{2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := FaultTolerantSAXPY(ctx, dim, 600, 8, 0, 0, nil)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("dim %d: err = %v after %v, want context.Canceled", dim, err, time.Since(start))
+		}
 	}
 }

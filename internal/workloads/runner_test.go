@@ -2,8 +2,10 @@ package workloads
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tseries/internal/sim"
 )
@@ -113,5 +115,38 @@ func TestReportRates(t *testing.T) {
 	}
 	if got := rep.LinkMBps(); got != 2 {
 		t.Fatalf("LinkMBps = %g", got)
+	}
+}
+
+// TestRunsReleaseGoroutines runs every registered workload and checks
+// that the goroutine count returns to where it started: a finished run
+// must unwind the daemon processes (routers, heartbeats, module
+// threads) still parked when its simulation drained, or every machine
+// stays reachable for the life of the host process. The dim-4 recovery
+// run covers a two-shard machine.
+func TestRunsReleaseGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for _, r := range Runners() {
+		if _, err := r.Run(smallConfig()); err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+	}
+	r, err := Get("recovery")
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := smallConfig()
+	two.Dim = 4
+	if _, err := r.Run(two); err != nil {
+		t.Fatalf("recovery dim 4: %v", err)
+	}
+	// A closed process's goroutine hands the kernel its last slot just
+	// before it returns, so the count can trail the close briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after the runs, %d before", n, start)
 	}
 }

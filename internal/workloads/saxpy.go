@@ -61,6 +61,7 @@ func (r SAXPYResult) MFLOPS() float64 {
 // and 1 GFLOPS cabinet figures.
 func DistributedSAXPY(ctx context.Context, dim, rowsPerNode, reps int) (SAXPYResult, error) {
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	m, err := machine.New(k, dim)
 	if err != nil {
 		return SAXPYResult{}, err
@@ -125,6 +126,7 @@ func (b BusSAXPY) Run(procs, rowsPerProc, reps int) SAXPYResult {
 		bw = 4 * 192e6
 	}
 	k := sim.NewKernel()
+	defer k.Close()
 	bus := sim.NewResource(k, "bus", 1)
 	var res SAXPYResult
 	res.Nodes = procs

@@ -169,6 +169,7 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 	if err != nil {
 		return SoakResult{}, err
 	}
+	defer m.Close()
 	m.Spec.Recovery.SpareNodes = params.Spares
 	sv := machine.NewSupervisor(m)
 	h, err := machine.NewHealer(m, sv)

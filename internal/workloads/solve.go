@@ -74,6 +74,7 @@ func Solve(ctx context.Context, n int, a [][]float64, b []float64) (SolveResult,
 	// Substitutions on a fresh node: L and U rows staged in bank B, the
 	// evolving right-hand side in bank A row 0.
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	nd := node.New(k, 0)
 	const (
 		lBase = 300

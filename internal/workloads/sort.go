@@ -69,6 +69,7 @@ func SortRecords(ctx context.Context, nRecords int, keys []float64, moveRows boo
 		return SortResult{}, fmt.Errorf("workloads: %d keys for %d records", len(keys), nRecords)
 	}
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	nd := node.New(k, 0)
 	// Record i occupies memory row 300+i; key at element 0, body filled
 	// with a recognisable pattern tied to the key.

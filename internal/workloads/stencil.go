@@ -69,6 +69,7 @@ func DistributedStencil(ctx context.Context, dimX, dimY int, grid int, init [][]
 	}
 	dim := mesh.CubeDim()
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	m, err := machine.New(k, dim)
 	if err != nil {
 		return StencilResult{}, err

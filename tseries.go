@@ -12,7 +12,7 @@
 // bundled Occam subset, and read results and timings off the simulated
 // clock. The experiment harness (Experiments, RunExperiment) regenerates
 // every quantitative claim and figure of the paper; `go test -bench .`
-// and cmd/tbench drive it.
+// and `tsim -experiment` drive it.
 package tseries
 
 import (
