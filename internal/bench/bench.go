@@ -74,6 +74,7 @@ func kernelScenarios() []scenario {
 	return []scenario{
 		{"at_now", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			i := 0
 			var step func()
 			step = func() {
@@ -87,6 +88,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"at_future", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			i := 0
 			var step func()
 			step = func() {
@@ -100,6 +102,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"at_future_spread", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			const window = 512
 			i := 0
 			var step func()
@@ -117,6 +120,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"park_unpark", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			iters := n/2 + 1
 			body := func(p *sim.Proc) {
 				for j := 0; j < iters; j++ {
@@ -130,6 +134,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"wait_resume", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			k.Go("sleeper", func(p *sim.Proc) {
 				for j := 0; j < n; j++ {
 					p.Wait(sim.Nanosecond)
@@ -140,6 +145,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"chan_send_recv", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			c := sim.NewChan(k, "bench", 0)
 			k.Go("tx", func(p *sim.Proc) {
 				for j := 0; j < n; j++ {
@@ -156,6 +162,7 @@ func kernelScenarios() []scenario {
 		}},
 		{"resource_contention", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			r := sim.NewResource(k, "bus", 1)
 			const procs = 4
 			iters := n/procs + 1

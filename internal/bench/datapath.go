@@ -33,6 +33,7 @@ func datapathScenarios() []scenario {
 	return []scenario{
 		{"mem_row_load", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			m := memory.New(k, "n0")
 			var reg memory.VectorReg
 			k.Go("cp", func(p *sim.Proc) {
@@ -47,6 +48,7 @@ func datapathScenarios() []scenario {
 		}},
 		{"mem_row_store", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			m := memory.New(k, "n0")
 			var reg memory.VectorReg
 			k.Go("cp", func(p *sim.Proc) {
@@ -64,6 +66,7 @@ func datapathScenarios() []scenario {
 		{"fpu_form_vadd32", fpuFormScenario(fpu.Op{Form: fpu.VAdd, Prec: fpu.P32, X: 0, Y: 300, Z: 301})},
 		{"link_send_retry", func(n int) int64 {
 			k := sim.NewKernel()
+			defer k.Close()
 			la := link.NewLink(k, "a")
 			lb := link.NewLink(k, "b")
 			if err := link.Connect(la.Sublink(0), lb.Sublink(0)); err != nil {
@@ -94,6 +97,7 @@ func datapathScenarios() []scenario {
 func fpuFormScenario(op fpu.Op) func(n int) int64 {
 	return func(n int) int64 {
 		k := sim.NewKernel()
+		defer k.Close()
 		m := memory.New(k, "n0")
 		u := fpu.New(k, "n0", m)
 		for i := 0; i < memory.F64PerRow; i++ {

@@ -64,6 +64,7 @@ func machineShardRun(workers int) func(n int) int64 {
 		if err != nil {
 			panic(err)
 		}
+		defer m.Close()
 		nodes := len(m.Nodes)
 		iters := n/nodes + 1
 		a := fparith.FromInt64(2)

@@ -67,6 +67,7 @@ func shardScenarios() []shardScenario {
 func shardScaleRun(shards int) func(n int) int64 {
 	return func(n int) int64 {
 		g := sim.NewShardGroup(shards)
+		defer g.Close()
 		g.SetWorkers(shards)
 
 		if shards > 1 {

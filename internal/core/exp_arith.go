@@ -30,6 +30,7 @@ func arithRig(ctx context.Context) (*sim.Kernel, *node.Node) {
 func E1NodePeak(ctx context.Context) (*Result, error) {
 	r := newResult("E1", "Node peak arithmetic rate")
 	k, nd := arithRig(ctx)
+	defer k.Close()
 	const rows = 256
 	var flops int64
 	k.Go("saxpy", func(p *sim.Proc) {
@@ -66,6 +67,7 @@ func E7PipelineDepths(ctx context.Context) (*Result, error) {
 	r := newResult("E7", "Pipeline depths")
 	measure := func(form fpu.Form, prec fpu.Precision) int {
 		k, nd := arithRig(ctx)
+		defer k.Close()
 		var fillCycles int
 		k.Go("m", func(p *sim.Proc) {
 			r1, err := nd.RunForm(p, fpu.Op{Form: form, Prec: prec, X: 0, Y: 300, Z: 301, N: 1, A: fparith.FromFloat64(1)})
@@ -104,6 +106,7 @@ func E7PipelineDepths(ctx context.Context) (*Result, error) {
 func E13VectorForms(ctx context.Context) (*Result, error) {
 	r := newResult("E13", "Vector forms with feedback")
 	k, nd := arithRig(ctx)
+	defer k.Close()
 	var dotRes, sumRes fpu.Result
 	k.Go("m", func(p *sim.Proc) {
 		var err error
@@ -144,6 +147,7 @@ func A1SingleBank(ctx context.Context) (*Result, error) {
 	r := newResult("A1", "Single-bank memory ablation")
 	run := func(single bool) sim.Duration {
 		k, nd := arithRig(ctx)
+		defer k.Close()
 		nd.FPU.SingleBankMode = single
 		var e sim.Duration
 		k.Go("m", func(p *sim.Proc) {

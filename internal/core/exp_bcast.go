@@ -42,6 +42,7 @@ func A6BroadcastTree(ctx context.Context) (*Result, error) {
 
 func runBroadcast(ctx context.Context, dim, payload int, tree bool) (sim.Duration, error) {
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	net, err := rawCube(k, dim)
 	if err != nil {
 		return 0, err

@@ -19,6 +19,7 @@ func A5ChunkedTransfer(ctx context.Context) (*Result, error) {
 
 	run := func(hops, chunk int) (sim.Duration, error) {
 		k := sim.NewKernelCtx(ctx)
+		defer k.Close()
 		net, err := rawCube(k, 3)
 		if err != nil {
 			return 0, err

@@ -21,6 +21,7 @@ func E5LinkProtocol(ctx context.Context) (*Result, error) {
 	r := newResult("E5", "Link protocol")
 	timeFor := func(n int) sim.Duration {
 		k := sim.NewKernelCtx(ctx)
+		defer k.Close()
 		a, b := node.New(k, 0), node.New(k, 1)
 		if err := link.Connect(a.Sublink(0), b.Sublink(0)); err != nil {
 			panic(err)
@@ -129,6 +130,7 @@ func E8CubeMappings(ctx context.Context) (*Result, error) {
 	for _, dst := range []int{1, 3, 7, 15} {
 		d := dst
 		k := sim.NewKernelCtx(ctx)
+		defer k.Close()
 		net, err := rawCube(k, 4)
 		if err != nil {
 			return nil, err
@@ -195,6 +197,7 @@ func A2SublinkMux(ctx context.Context) (*Result, error) {
 	const bytes = 10000
 	// Four sublinks of ONE link.
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	src := node.New(k, 0)
 	dsts := make([]*node.Node, 4)
 	for i := range dsts {
@@ -217,6 +220,7 @@ func A2SublinkMux(ctx context.Context) (*Result, error) {
 
 	// Four separate links.
 	k2 := sim.NewKernelCtx(ctx)
+	defer k2.Close()
 	src2 := node.New(k2, 0)
 	dst2 := node.New(k2, 1)
 	for i := 0; i < 4; i++ {
@@ -253,6 +257,7 @@ func A4Routing(ctx context.Context) (*Result, error) {
 	const dim = 4
 	runPerm := func() sim.Duration {
 		k := sim.NewKernelCtx(ctx)
+		defer k.Close()
 		net, err := rawCube(k, dim)
 		if err != nil {
 			panic(err)

@@ -125,6 +125,7 @@ func E17FaultRecovery(ctx context.Context) (*Result, error) {
 // fault plan and reports payload MB/s plus the sender link's counters.
 func linkGoodput(ctx context.Context, plan *fault.Plan) (float64, *link.Link, error) {
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	la := link.NewLink(k, "gp/a")
 	lb := link.NewLink(k, "gp/b")
 	if err := link.Connect(la.Sublink(0), lb.Sublink(0)); err != nil {

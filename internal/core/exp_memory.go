@@ -20,6 +20,7 @@ func E2Bandwidths(ctx context.Context) (*Result, error) {
 
 	// Link: one 64 KB DMA transfer between two nodes.
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	a, b := node.New(k, 0), node.New(k, 1)
 	if err := link.Connect(a.Sublink(0), b.Sublink(0)); err != nil {
 		return nil, err
@@ -39,6 +40,7 @@ func E2Bandwidths(ctx context.Context) (*Result, error) {
 
 	// Control processor ↔ memory through the random-access port.
 	k2 := sim.NewKernelCtx(ctx)
+	defer k2.Close()
 	nd := node.New(k2, 0)
 	const words = 2000
 	var cpTime sim.Duration
@@ -56,6 +58,7 @@ func E2Bandwidths(ctx context.Context) (*Result, error) {
 
 	// Memory ↔ vector register: row transfers.
 	k3 := sim.NewKernelCtx(ctx)
+	defer k3.Close()
 	nd3 := node.New(k3, 0)
 	var reg memory.VectorReg
 	const rows = 200
@@ -76,6 +79,7 @@ func E2Bandwidths(ctx context.Context) (*Result, error) {
 	// cycle in 64-bit mode; measured from the marginal per-element time
 	// of a dyadic form.
 	k4 := sim.NewKernelCtx(ctx)
+	defer k4.Close()
 	nd4 := node.New(k4, 0)
 	for i := 0; i < memory.F64PerRow; i++ {
 		nd4.Mem.PokeF64(i, fparith.FromInt64(1))
@@ -123,6 +127,7 @@ func E2Bandwidths(ctx context.Context) (*Result, error) {
 func E3DualPortMemory(ctx context.Context) (*Result, error) {
 	r := newResult("E3", "Dual-port memory")
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	nd := node.New(k, 0)
 	var wordT, rowT sim.Duration
 	k.Go("m", func(p *sim.Proc) {
@@ -156,6 +161,7 @@ func E3DualPortMemory(ctx context.Context) (*Result, error) {
 func E4GatherScatter(ctx context.Context) (*Result, error) {
 	r := newResult("E4", "Gather/scatter")
 	k := sim.NewKernelCtx(ctx)
+	defer k.Close()
 	nd := node.New(k, 0)
 	idx := make([]int, 128)
 	for i := range idx {

@@ -124,6 +124,7 @@ func overlapRun(ctx context.Context, forms int) (vec, total sim.Duration) {
 	}
 	// Pure vector time.
 	k1, nd1, _ := prep()
+	defer k1.Close()
 	k1.Go("vec", func(p *sim.Proc) {
 		for i := 0; i < forms; i++ {
 			if _, err := nd1.RunForm(p, fpu.Op{Form: fpu.SAXPY, Prec: fpu.P64, X: 0, Y: 300, Z: 301, A: fparith.FromFloat64(1)}); err != nil {
@@ -134,6 +135,7 @@ func overlapRun(ctx context.Context, forms int) (vec, total sim.Duration) {
 	vec = sim.Duration(k1.Run(0))
 	// Overlapped with the gather.
 	k2, nd2, idx := prep()
+	defer k2.Close()
 	k2.Go("vec", func(p *sim.Proc) {
 		for i := 0; i < forms; i++ {
 			if _, err := nd2.RunForm(p, fpu.Op{Form: fpu.SAXPY, Prec: fpu.P64, X: 0, Y: 300, Z: 301, A: fparith.FromFloat64(1)}); err != nil {

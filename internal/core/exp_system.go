@@ -32,6 +32,7 @@ func E9ModuleAggregate(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	const chunk = 32 * 1024
 	var totalBytes int64
 	for id := 0; id < 8; id++ {
@@ -112,6 +113,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer m.Close()
 		var elapsed sim.Duration
 		k.Go("snap", func(p *sim.Proc) {
 			s := p.Now()
@@ -135,6 +137,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	for i, nd := range m.Nodes {
 		nd.Mem.PokeF64(0, fparith.FromInt64(int64(1000+i)))
 	}

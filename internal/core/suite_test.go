@@ -234,3 +234,31 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	b.ReportMetric(serialPerOp/parallelPerOp, "speedup_vs_serial")
 	b.ReportMetric(float64(runtime.NumCPU()), "host_cpus")
 }
+
+// TestExperimentsReleaseGoroutines runs the experiments whose machines
+// leave daemons parked when they drain (link routers, module threads)
+// and checks that each closes what it built: the goroutine count must
+// return to where it started.
+func TestExperimentsReleaseGoroutines(t *testing.T) {
+	var exps []Experiment
+	for _, id := range []string{"E8", "E9", "E11", "A4", "A5", "A6"} {
+		e, err := Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	start := runtime.NumGoroutine()
+	if _, err := RunSuite(context.Background(), exps, 1); err != nil {
+		t.Fatal(err)
+	}
+	// A closed process's goroutine hands the kernel its last slot just
+	// before it returns, so the count can trail the close briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after the experiments, %d before", n, start)
+	}
+}

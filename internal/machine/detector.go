@@ -30,7 +30,6 @@ import (
 // (thread congestion) is not condemned by a fixed timeout.
 type Detector struct {
 	M  *Machine
-	R  RecoveryParams
 	sv *Supervisor
 
 	susp    int      // suspension depth
@@ -55,24 +54,40 @@ type Detector struct {
 	proc *sim.Proc
 }
 
-// LossyRetransmits is how many retransmits within one detect window
-// mark a channel as persistently lossy.
-const LossyRetransmits = 8
+// Detection policy.
+const (
+	// HeartbeatInterval is how often each node publishes liveness along
+	// its module's system thread.
+	HeartbeatInterval = 100 * sim.Millisecond
+	// DetectInterval is how often the detector evaluates the accrued
+	// suspicion of every node.
+	DetectInterval = 250 * sim.Millisecond
+	// SuspectPhi and ConfirmPhi are the phi-accrual thresholds: a node
+	// whose suspicion exceeds SuspectPhi is suspected, and the
+	// most-downstream suspect of a module is confirmed dead once its
+	// suspicion exceeds ConfirmPhi.
+	SuspectPhi = 4
+	ConfirmPhi = 8
+	// HangTimeout declares a node hung when its published progress
+	// word has not advanced for this long while the rest of the machine
+	// moved on.
+	HangTimeout = 30 * sim.Second
+	// LossyRetransmits is how many retransmits within one detect window
+	// mark a channel as persistently lossy.
+	LossyRetransmits = 8
+)
 
-// NewDetector builds a detector for the machine using its Spec.Recovery
-// thresholds, alarming through the given supervisor.
+// NewDetector builds a detector for the machine, alarming through the
+// given supervisor.
 func NewDetector(m *Machine, sv *Supervisor) *Detector {
-	d := &Detector{
+	return &Detector{
 		M:          m,
-		R:          m.Spec.Recovery,
 		sv:         sv,
 		confirmed:  map[int]bool{},
 		priorHangs: map[int]bool{},
 		lastRtx:    map[string]int64{},
 		lossy:      map[string]bool{},
 	}
-	sv.det = d
-	return d
 }
 
 // DetectedDeath is the detector's verdict that a node is dead, raised
@@ -99,8 +114,8 @@ func (e *DetectedHang) Error() string {
 }
 
 // Suspend pauses evaluation (nestable). The supervisor suspends around
-// checkpoints and the healer around recovery: both flood the module
-// threads for seconds, and the delayed beats would read as silence.
+// checkpoints and recovery: both flood the module threads for seconds,
+// and the delayed beats would read as silence.
 func (d *Detector) Suspend() { d.susp++ }
 
 // Resume re-enables evaluation and resets the silence baseline to now,
@@ -120,18 +135,17 @@ func (d *Detector) Resume() {
 // on every module (heartbeats are opt-in; starting the detector is the
 // opt).
 func (d *Detector) Start() {
-	r := d.R
 	d.started = d.M.K.Now()
 	d.floor = d.started
 	for _, mod := range d.M.Modules {
-		mod.StartHeartbeats(r.HeartbeatInterval)
+		mod.StartHeartbeats(HeartbeatInterval)
 		if mod.Index != 0 && len(d.M.Modules) > 1 {
-			mod.StartHealthPublisher(0, r.DetectInterval)
+			mod.StartHealthPublisher(0, DetectInterval)
 		}
 	}
 	d.proc = d.M.K.GoDaemon("machine/detector", func(p *sim.Proc) {
 		for {
-			p.Wait(r.DetectInterval)
+			p.Wait(DetectInterval)
 			if d.susp > 0 {
 				continue
 			}
@@ -198,8 +212,8 @@ func (d *Detector) evaluate(now sim.Time) {
 	// The heuristic picks the slot that froze EARLIEST (the victim stops
 	// first; its dependents only stall when they reach the dependency),
 	// breaking ties toward the higher slot as with the cut point. A
-	// wrong pick is not fatal — the heal's rollback unblocks every false
-	// suspect and the restart budget bounds the rounds — but only
+	// wrong pick is not fatal — the recovery's rollback unblocks every
+	// false suspect and the restart budget bounds the rounds — but only
 	// because already-condemned slots are deprioritized below: after a
 	// rollback the same tie recurs, so a pick without that memory would
 	// repeat its mistake forever instead of converging on the victim.
@@ -238,21 +252,31 @@ type hangCand struct {
 	stall sim.Duration
 }
 
+// since clamps a ledger instant to the silence baseline: nothing
+// before the detector started or last resumed counts against a slot.
+func (d *Detector) since(t sim.Time) sim.Time {
+	if d.floor > t {
+		t = d.floor
+	}
+	if d.started > t {
+		t = d.started
+	}
+	return t
+}
+
+// silence is the raw quiet time behind a confirmation.
+func (d *Detector) silence(now sim.Time, s module.SlotHealth) sim.Duration {
+	return now.Sub(d.since(s.LastBeat))
+}
+
 // phi returns the suspicion level of one slot: silence measured in
 // units of its smoothed inter-beat gap.
 func (d *Detector) phi(now sim.Time, s module.SlotHealth) float64 {
-	last := s.LastBeat
-	if d.floor > last {
-		last = d.floor
-	}
-	if d.started > last {
-		last = d.started
-	}
 	gap := s.EwmaGap
 	if gap <= 0 {
-		gap = d.R.HeartbeatInterval
+		gap = HeartbeatInterval
 	}
-	return float64(now.Sub(last)) / float64(gap)
+	return float64(d.silence(now, s)) / float64(gap)
 }
 
 // evaluateModule confirms at most one death (the module's cut point)
@@ -268,7 +292,7 @@ func (d *Detector) evaluateModule(now sim.Time, mod *module.Module, hs module.He
 			continue
 		}
 		id := base + slot
-		if phi := d.phi(now, s); phi >= d.R.ConfirmPhi {
+		if phi := d.phi(now, s); phi >= ConfirmPhi {
 			if !d.confirmed[id] {
 				d.confirmed[id] = true
 				sil := d.silence(now, s)
@@ -278,7 +302,7 @@ func (d *Detector) evaluateModule(now sim.Time, mod *module.Module, hs module.He
 				return nil, true // lower slots are shadowed: re-evaluate after bypass
 			}
 			return nil, false
-		} else if phi >= d.R.SuspectPhi {
+		} else if phi >= SuspectPhi {
 			// Suspected but not yet condemned; it also shadows below.
 			return cands, false
 		}
@@ -288,31 +312,13 @@ func (d *Detector) evaluateModule(now sim.Time, mod *module.Module, hs module.He
 		// board wedged before its first phase). Cold spares are exempt:
 		// their frozen progress is by design.
 		if !s.Spare && (s.Advanced || anyAdvanced) && !d.confirmed[id] {
-			adv := s.LastAdvance
-			if d.floor > adv {
-				adv = d.floor
-			}
-			if d.started > adv {
-				adv = d.started
-			}
-			if stall := now.Sub(adv); stall > d.R.HangTimeout {
+			adv := d.since(s.LastAdvance)
+			if stall := now.Sub(adv); stall > HangTimeout {
 				cands = append(cands, hangCand{id: id, adv: adv, stall: stall})
 			}
 		}
 	}
 	return cands, false
-}
-
-// silence is the raw quiet time behind a confirmation.
-func (d *Detector) silence(now sim.Time, s module.SlotHealth) sim.Duration {
-	last := s.LastBeat
-	if d.floor > last {
-		last = d.floor
-	}
-	if d.started > last {
-		last = d.started
-	}
-	return now.Sub(last)
 }
 
 // scanLossy looks for channels whose retransmit counters climbed by

@@ -93,7 +93,6 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 	}
 	sv := NewSupervisor(m)
 	d := NewDetector(m, sv)
-	r := m.Spec.Recovery
 
 	// Heartbeats and detection on; crash node 3 silently mid-run, then
 	// let the evaluation daemon notice. The controller stops everything
@@ -117,7 +116,7 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 	if dd.Node != 3 {
 		t.Fatalf("condemned node %d, want 3 (the cut point)", dd.Node)
 	}
-	if dd.Silence <= 0 || dd.Silence > 20*r.HeartbeatInterval {
+	if dd.Silence <= 0 || dd.Silence > 20*HeartbeatInterval {
 		t.Fatalf("detection latency %v implausible", dd.Silence)
 	}
 	if got := k.Stats().Counters["heal.detect_events"]; got != 1 {

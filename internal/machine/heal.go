@@ -12,17 +12,17 @@ import (
 	"tseries/internal/sim"
 )
 
-// Healer is the self-healing orchestrator: Detector verdicts in,
-// remapped machine out. It extends the checkpoint/rollback supervisor
-// with spare-node remapping — each module holds back its top
-// Spec.Recovery.SpareNodes slots as cold spares, and when a board is
-// confirmed dead (by heartbeat silence or frozen progress, no fault
-// plan courtesy required) the healer re-cables the module thread around
-// the corpse, hands its checkpoint identity to a spare, restores the
-// whole machine from the latest snapshot, and replays. When a module's
-// spares are exhausted it falls back to degraded operation: the dead
-// board is repaired in place at the cost of a BoardSwapTime stall — the
-// simulated field-engineer visit.
+// Healer is the self-healing part of supervision: Detector verdicts
+// in, remapped machine out. Attached to a Supervisor, it turns the
+// repair step of the supervisor's recovery into a remap walk — each
+// module holds back its top spare slots as cold spares, and when a
+// board is confirmed dead (by heartbeat silence or frozen progress, no
+// fault plan courtesy required) the walk re-cables the module thread
+// around the corpse and hands its checkpoint identity to a spare; the
+// supervisor then restores the whole machine from the latest snapshot
+// and replays. When a module's spares are exhausted it falls back to
+// degraded operation: the dead board is repaired in place at the cost
+// of a BoardSwapTime stall — the simulated field-engineer visit.
 //
 // Workloads run on IMAGES, not boards: image i is the checkpoint
 // identity that booted on physical node i. Remapping moves an image to
@@ -47,21 +47,26 @@ type Healer struct {
 // spare pool exists to avoid.
 const BoardSwapTime = 120 * sim.Second
 
-// NewHealer validates the machine's recovery policy, reserves each
-// module's top SpareNodes slots as cold spares, and attaches a failure
-// detector. It must run before the first snapshot (spares carry no
-// checkpoint identity).
-func NewHealer(m *Machine, sv *Supervisor) (*Healer, error) {
-	if err := m.Spec.Validate(); err != nil {
-		return nil, err
+// bootRead is the service-path time to read one board's whole RAM.
+const bootRead = sim.Duration(memory.NumRows) * sim.RowAccess
+
+// NewHealer attaches self-healing to a supervisor: it reserves each
+// module's top spares slots (0 ≤ spares < NodesPerModule, and always
+// leaving one slot carrying an image) as cold spares for remapping —
+// the paper's 12-of-14-cube idea in miniature, physical capacity held
+// back so a confirmed-dead board's identity can move — and attaches a
+// failure detector. It must run before the first snapshot (spares
+// carry no checkpoint identity).
+func NewHealer(m *Machine, sv *Supervisor, spares int) (*Healer, error) {
+	if spares < 0 || spares >= module.NodesPerModule {
+		return nil, fmt.Errorf("machine: %d spare nodes per module out of range 0..%d", spares, module.NodesPerModule-1)
 	}
 	h := &Healer{M: m, SV: sv, physOf: make([]int, len(m.Nodes))}
 	for i := range h.physOf {
 		h.physOf[i] = i
 	}
-	nSpares := m.Spec.Recovery.SpareNodes
 	for _, mod := range m.Modules {
-		k := nSpares
+		k := spares
 		if k >= len(mod.Nodes) {
 			k = len(mod.Nodes) - 1
 		}
@@ -74,6 +79,7 @@ func NewHealer(m *Machine, sv *Supervisor) (*Healer, error) {
 		}
 	}
 	h.Det = NewDetector(m, sv)
+	sv.heal = h
 	return h, nil
 }
 
@@ -85,7 +91,7 @@ func (h *Healer) Images() []int {
 }
 
 // PhysOf returns the physical node currently carrying image img, or -1
-// if the image is lost (died with no spare and no repair yet).
+// if img is not an image (a spare position, or out of range).
 func (h *Healer) PhysOf(img int) int {
 	if img < 0 || img >= len(h.physOf) {
 		return -1
@@ -100,141 +106,25 @@ func (h *Healer) NodeOf(img int) *node.Node { return h.M.Nodes[h.physOf[img]] }
 // carrying image img.
 func (h *Healer) EndpointOf(img int) *comm.Endpoint { return h.M.Net.Endpoint(h.physOf[img]) }
 
-// healRetrying runs the heal sequence, retrying within the restart
-// budget when healing is itself interrupted (a second board dying
-// mid-restore).
-func (h *Healer) healRetrying(p *sim.Proc, restart *int, cause error) error {
-	for {
-		err := h.heal(p, cause)
-		if err == nil {
-			return nil
-		}
-		*restart++
-		if *restart > h.SV.MaxRestarts {
-			return err
-		}
-		cause = err
-	}
-}
-
-// Run executes body once per image under self-healing supervision: an
-// initial checkpoint, heartbeats and detection on, one process per
-// image on whatever board carries it. Detector verdicts (and declared
-// faults) trigger the heal sequence and a replay, up to MaxRestarts
-// times. Bodies spawn on the shards of the boards carrying their images
-// (inside a Global section, so spawn order never races), completions
-// and alarms travel the staged uplink edges, and the detector daemons
-// start and stop with every shard quiescent.
-func (h *Healer) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
+// remap is the healer's repair step of the supervisor's recovery, run
+// after the halt and drain: flush, then bypass-and-remap (or degrade)
+// every dead board. The flush and the walk touch state owned by other
+// shards, so they run in one Global section with all shards quiescent;
+// the timed waits of the walk (the boot-state service reads, the
+// degraded-mode board swap) follow the section, since a Global body
+// must not block.
+func (h *Healer) remap(p *sim.Proc, cause error) error {
 	sv, m := h.SV, h.M
-	imgs := h.Images()
-	restart := 0
-	// The boot checkpoint itself can be torn by a fault (the stall
-	// watchdog turns that into an error rather than a wedged machine);
-	// heal and retry within the restart budget.
-	for {
-		err := sv.Checkpoint(p)
-		if err == nil {
-			break
-		}
-		if restart >= sv.MaxRestarts {
-			return err
-		}
-		restart++
-		if err := h.healRetrying(p, &restart, err); err != nil {
-			return err
-		}
-	}
-	m.Group.Global(p, func(sim.Time) { h.Det.Start() })
-	defer m.Group.Global(p, func(sim.Time) { h.Det.Stop() })
-	for ; ; restart++ {
-		for _, img := range imgs {
-			if h.physOf[img] < 0 {
-				m.Group.Global(p, func(sim.Time) { sv.killBodies() })
-				return fmt.Errorf("healer: image %d has no board", img)
-			}
-		}
-		sv.gen++
-		gen := sv.gen
-		sv.procs = make([]*sim.Proc, len(m.Nodes))
-		m.Group.Global(p, func(sim.Time) {
-			for _, img := range imgs {
-				img := img
-				phys := h.physOf[img]
-				shard := m.shardOf(phys)
-				pr := m.Group.Shard(shard).Go(fmt.Sprintf("healer/img%d", img), func(bp *sim.Proc) {
-					if err := body(bp, img); err != nil {
-						sv.noteFault(err)
-						sv.raise(bp, shard, err)
-						return
-					}
-					sv.okDone(bp, shard, gen)
-				})
-				sv.procs[phys] = pr
-				if sv.hung[phys] {
-					// The board wedged before this body ever ran; it stops
-					// dead, and only the progress-watching detector can tell.
-					pr.Kill()
-				}
-			}
-		})
-		var faultErr error
-		for oks := 0; oks < len(imgs) && faultErr == nil; {
-			which, v := sim.Select(p, sv.alarm, sv.okc)
-			if which == 0 {
-				faultErr = v.(error)
-			} else if v.(okTok).gen == gen {
-				oks++
-			}
-		}
-		if faultErr == nil {
-			return nil
-		}
-		if restart >= sv.MaxRestarts {
-			m.Group.Global(p, func(sim.Time) { sv.killBodies() })
-			return fmt.Errorf("healer: giving up after %d restarts: %v", restart, faultErr)
-		}
-		if err := h.healRetrying(p, &restart, faultErr); err != nil {
-			return err
-		}
-	}
-}
-
-// heal is the remap-aware recovery sequence: halt, drain, flush,
-// bypass-and-remap (or degrade), restore, replay. Every step that
-// touches state owned by other shards — killing bodies, aborting
-// snapshots, flushing, the bypass/remap walk — runs in a Global section
-// with all shards quiescent; the timed waits of the walk (the
-// boot-state service reads, the degraded-mode board swap) follow the
-// section, since a Global body must not block.
-func (h *Healer) heal(p *sim.Proc, cause error) error {
-	sv, m := h.SV, h.M
-	start := p.Now()
-	m.Group.Global(p, func(sim.Time) { h.Det.Suspend() })
-	defer m.Group.Global(p, func(sim.Time) { h.Det.Resume() })
-
-	m.Group.Global(p, func(sim.Time) {
-		sv.killBodies()
-		for _, mod := range m.Modules {
-			mod.AbortSnapshot()
-		}
-	})
-	p.Wait(sv.DrainTime)
-
 	type reseed struct{ corpse, spare int }
 	var reseeds []reseed
 	degraded := false
 	var healErr error
-	read := sim.Duration(memory.NumRows) * sim.RowAccess
 	m.Group.Global(p, func(at sim.Time) {
 		// Each boot-state read below is paid before the next board is
 		// walked, so a log entry carries the instant the walk reaches
 		// it: the walk's start plus the reads queued so far.
-		walked := func() sim.Time { return at.Add(sim.Duration(len(reseeds)) * read) }
-		m.Net.Flush()
-		for _, mod := range m.Modules {
-			mod.FlushThread()
-		}
+		walked := func() sim.Time { return at.Add(sim.Duration(len(reseeds)) * bootRead) }
+		sv.flush()
 		// A confirmed hang is handled like a death: the board is wedged,
 		// so take it out of service and let the remap path claim it.
 		var hung *DetectedHang
@@ -304,7 +194,7 @@ func (h *Healer) heal(p *sim.Proc, cause error) error {
 		// read time per corpse, then seed the spares with the machine
 		// quiescent.
 		for range reseeds {
-			p.Wait(read)
+			p.Wait(bootRead)
 		}
 		m.Group.Global(p, func(sim.Time) {
 			for _, r := range reseeds {
@@ -315,16 +205,6 @@ func (h *Healer) heal(p *sim.Proc, cause error) error {
 	if degraded {
 		p.Wait(BoardSwapTime)
 	}
-
-	if sv.lastSnaps != nil {
-		if err := sv.restoreLatest(p); err != nil {
-			return err
-		}
-		sv.Rollbacks++
-	}
-	sv.drainAlarms()
-	sv.LastRecovery = p.Now().Sub(start)
-	m.K.Count("heal.recover_ns", int64(sv.LastRecovery/sim.Nanosecond))
 	return nil
 }
 

@@ -214,3 +214,32 @@ func TestLargerMachineSmoke(t *testing.T) {
 		t.Fatal("6-cube corner message failed")
 	}
 }
+
+// TestNewHealerSpareRange: the spare count is the one recovery setting,
+// so NewHealer range-checks it and reserves the top slots of each
+// module; a full reservation leaves no image and is refused.
+func TestNewHealerSpareRange(t *testing.T) {
+	for _, spares := range []int{-1, 8} {
+		m, err := New(sim.NewKernel(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewHealer(m, NewSupervisor(m), spares); err == nil {
+			t.Fatalf("spares=%d accepted", spares)
+		}
+	}
+	m, err := New(sim.NewKernel(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHealer(m, NewSupervisor(m), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(h.Images()); got != 6 {
+		t.Fatalf("%d images with 2 spares in one module, want 6", got)
+	}
+	if h.PhysOf(6) != -1 || h.PhysOf(7) != -1 || h.PhysOf(5) != 5 {
+		t.Fatalf("spare slots not reserved: physOf = %v", h.physOf)
+	}
+}

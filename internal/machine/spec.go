@@ -14,7 +14,6 @@ import (
 	"tseries/internal/memory"
 	"tseries/internal/module"
 	"tseries/internal/node"
-	"tseries/internal/sim"
 )
 
 // Architecture limits.
@@ -44,96 +43,6 @@ type Spec struct {
 	CubeSublinks int // per node, for hypercube neighbors
 	SysSublinks  int // per node, for the system thread
 	FreeSublinks int // per node, left for I/O and expansion
-
-	Recovery RecoveryParams
-}
-
-// RecoveryParams are the tunable constants of the checkpoint/rollback
-// supervisor and the self-healing heartbeat layer. They used to be
-// hard-coded in the supervisor; they live on the Spec so a configuration
-// carries its own recovery policy, seeded with the paper's figures
-// ("about 10 minutes is a good compromise" for the snapshot interval,
-// against a snapshot cost of about 15 seconds).
-type RecoveryParams struct {
-	// CheckpointInterval is the periodic snapshot spacing (§III).
-	CheckpointInterval sim.Duration
-	// SnapshotCost is the expected full-module snapshot time; validation
-	// rejects intervals that would spend more time snapshotting than
-	// computing.
-	SnapshotCost sim.Duration
-	// MaxRestarts bounds how many rollbacks a supervised run tolerates.
-	MaxRestarts int
-	// DrainTime lets in-flight DMA and router traffic settle after a
-	// halt, before state is flushed.
-	DrainTime sim.Duration
-
-	// HeartbeatInterval is how often each node publishes liveness along
-	// its module's system thread.
-	HeartbeatInterval sim.Duration
-	// DetectInterval is how often the failure detector evaluates the
-	// accrued suspicion of every node.
-	DetectInterval sim.Duration
-	// SuspectPhi and ConfirmPhi are the phi-accrual thresholds: a node
-	// whose suspicion exceeds SuspectPhi is suspected, and the
-	// most-downstream suspect of a module is confirmed dead once its
-	// suspicion exceeds ConfirmPhi.
-	SuspectPhi float64
-	ConfirmPhi float64
-	// HangTimeout declares a node hung when its published progress
-	// counter has not advanced for this long while the rest of the
-	// machine moved on.
-	HangTimeout sim.Duration
-	// SpareNodes are reserved per module, at the top slot indexes, for
-	// remapping; logical (workload-visible) positions cover the rest.
-	// This is the paper's 12-of-14-cube idea in miniature: physical
-	// capacity held back so a confirmed-dead board's identity can move.
-	SpareNodes int
-}
-
-// DefaultRecovery returns the paper-derived recovery policy.
-func DefaultRecovery() RecoveryParams {
-	return RecoveryParams{
-		CheckpointInterval: 600 * sim.Second,
-		SnapshotCost:       15 * sim.Second,
-		MaxRestarts:        4,
-		DrainTime:          500 * sim.Millisecond,
-		HeartbeatInterval:  100 * sim.Millisecond,
-		DetectInterval:     250 * sim.Millisecond,
-		SuspectPhi:         4,
-		ConfirmPhi:         8,
-		HangTimeout:        30 * sim.Second,
-		SpareNodes:         0,
-	}
-}
-
-// Validate rejects recovery policies that cannot work: non-positive
-// intervals, an interval smaller than the snapshot it pays for,
-// thresholds out of order, or a spare reservation that leaves no
-// logical nodes.
-func (s Spec) Validate() error {
-	r := s.Recovery
-	if r.CheckpointInterval < 0 {
-		return fmt.Errorf("machine: negative checkpoint interval %v", r.CheckpointInterval)
-	}
-	if r.CheckpointInterval > 0 && r.CheckpointInterval < r.SnapshotCost {
-		return fmt.Errorf("machine: checkpoint interval %v is shorter than the %v snapshot it pays for", r.CheckpointInterval, r.SnapshotCost)
-	}
-	if r.MaxRestarts < 0 {
-		return fmt.Errorf("machine: negative restart budget %d", r.MaxRestarts)
-	}
-	if r.HeartbeatInterval <= 0 || r.DetectInterval <= 0 {
-		return fmt.Errorf("machine: heartbeat interval %v and detect interval %v must be positive", r.HeartbeatInterval, r.DetectInterval)
-	}
-	if r.SuspectPhi <= 0 || r.ConfirmPhi < r.SuspectPhi {
-		return fmt.Errorf("machine: phi thresholds suspect=%g confirm=%g must satisfy 0 < suspect ≤ confirm", r.SuspectPhi, r.ConfirmPhi)
-	}
-	if r.HangTimeout <= 0 {
-		return fmt.Errorf("machine: hang timeout %v must be positive", r.HangTimeout)
-	}
-	if r.SpareNodes < 0 || r.SpareNodes >= module.NodesPerModule {
-		return fmt.Errorf("machine: %d spare nodes per module out of range 0..%d", r.SpareNodes, module.NodesPerModule-1)
-	}
-	return nil
 }
 
 // SpecFor derives the specification of an n-cube configuration.
@@ -156,7 +65,6 @@ func SpecFor(dim int) (Spec, error) {
 		CubeSublinks: dim,
 		SysSublinks:  2,
 		FreeSublinks: free,
-		Recovery:     DefaultRecovery(),
 	}, nil
 }
 

@@ -14,6 +14,18 @@ import (
 	"tseries/internal/stats"
 )
 
+// Recovery policy. The restart budget and drain time are the
+// supervisor's; the heartbeat and detection constants sit with the
+// Detector, the board-swap stall with the Healer.
+const (
+	// MaxRestarts bounds how many recoveries a supervised run tolerates
+	// before giving up.
+	MaxRestarts = 4
+	// DrainTime is how long the supervisor lets in-flight DMA and router
+	// activity settle after halting, before flushing state.
+	DrainTime = 500 * sim.Millisecond
+)
+
 // Supervisor is the recovery orchestrator the paper's system ring and
 // disk exist to support: it runs a distributed workload under watch,
 // and when an unrecoverable fault surfaces — a node crash, a link that
@@ -21,16 +33,11 @@ import (
 // halts the machine, flushes in-flight traffic, restores the last
 // consistent snapshot from the module disks, and replays. A workload
 // that keeps its progress in checkpointed node memory resumes from the
-// last completed phase rather than from scratch.
+// last completed phase rather than from scratch. With a Healer
+// attached, the repair step of that recovery remaps dead boards' images
+// onto spares instead of repairing the boards in place.
 type Supervisor struct {
 	M *Machine
-
-	// MaxRestarts bounds how many rollbacks Run tolerates before
-	// giving up.
-	MaxRestarts int
-	// DrainTime is how long the supervisor lets in-flight DMA and
-	// router activity settle after halting, before flushing state.
-	DrainTime sim.Duration
 
 	alarm *sim.Chan
 	procs []*sim.Proc
@@ -55,37 +62,33 @@ type Supervisor struct {
 	okUp []*sim.XChan
 	gen  int64
 
-	// det, when a Healer is attached, is suspended around checkpoints
-	// and recovery so the thread congestion they cause is not read as
-	// silence.
-	det *Detector
+	// heal, when attached by NewHealer, maps images to boards, runs the
+	// remap walk as the repair step, and owns the detector, which is
+	// suspended around checkpoints and recovery so the thread
+	// congestion they cause is not read as silence.
+	heal *Healer
 
 	// Counters for FaultReport.
 	Crashes          int64
-	Hangs            int64
 	ParityFaults     int64
 	Rollbacks        int64
 	RestoreFallbacks int64
 
 	// LastRecovery is the halt-to-replay time of the most recent
-	// rollback (the experiment E17 recovery-time metric).
+	// recovery (the experiment E17 recovery-time metric).
 	LastRecovery sim.Duration
 }
 
-// NewSupervisor attaches a recovery supervisor to a machine, taking its
-// policy from the machine's Spec.Recovery.
+// NewSupervisor attaches a recovery supervisor to a machine.
 func NewSupervisor(m *Machine) *Supervisor {
-	r := m.Spec.Recovery
 	shards := m.Group.Shards()
 	sv := &Supervisor{
-		M:           m,
-		MaxRestarts: r.MaxRestarts,
-		DrainTime:   r.DrainTime,
-		alarm:       sim.NewChan(m.K, "supervisor/alarm", 1024),
-		okc:         sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes),
-		hung:        make([]bool, m.Spec.Nodes),
-		up:          make([]*sim.XChan, shards),
-		okUp:        make([]*sim.XChan, shards),
+		M:     m,
+		alarm: sim.NewChan(m.K, "supervisor/alarm", 1024),
+		okc:   sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes),
+		hung:  make([]bool, m.Spec.Nodes),
+		up:    make([]*sim.XChan, shards),
+		okUp:  make([]*sim.XChan, shards),
 	}
 	// Persistent uplink edges from every non-control shard into the
 	// shard-0 alarm and ok channels, with the plan's lookahead.
@@ -119,24 +122,11 @@ func (sv *Supervisor) postNode(id int, err error) {
 	})
 }
 
-// FaultSink receives fault-injection notifications. The Supervisor is
-// the standard sink; a nil sink means pure injection with no observer.
-type FaultSink interface {
-	// NodeCrashed reports that a node's board died. declared=false is a
-	// SILENT crash: the machine is not alarmed, and only a heartbeat
-	// failure detector can discover it.
-	NodeCrashed(id int, declared bool)
-	// NodeHung reports that a node's board wedged: it stops executing
-	// (and so stops advancing its progress word) but its links stay up
-	// and its heartbeat hardware keeps beating. Always silent.
-	NodeHung(id int)
-}
-
-// NodeCrashed is the fault injector's notification that a node died.
+// nodeCrashed is the fault injector's notification that a node died.
 // The node's application process is killed on the spot — its board
-// stopped executing. A declared crash also alarms the supervisor; an
-// undeclared one is left for the failure detector to find.
-func (sv *Supervisor) NodeCrashed(id int, declared bool) {
+// stopped executing. A declared crash also alarms the supervisor; a
+// silent one is left for the heartbeat failure detector to find.
+func (sv *Supervisor) nodeCrashed(id int, declared bool) {
 	// On a partitioned machine this runs on the crashed node's shard;
 	// two shards can take a crash in the same window, so the counter is
 	// atomic (its final value is still deterministic — it counts events).
@@ -147,11 +137,10 @@ func (sv *Supervisor) NodeCrashed(id int, declared bool) {
 	}
 }
 
-// NodeHung wedges a node: its application process stops dead, but the
-// board keeps beating with a frozen progress word. Only a detector
-// watching progress can tell this from slow code.
-func (sv *Supervisor) NodeHung(id int) {
-	atomic.AddInt64(&sv.Hangs, 1)
+// nodeHung wedges a node: its application process stops dead, but its
+// links stay up and the board keeps beating with a frozen progress
+// word. Only a detector watching progress can tell this from slow code.
+func (sv *Supervisor) nodeHung(id int) {
 	sv.hung[id] = true
 	sv.killBody(id)
 }
@@ -173,9 +162,9 @@ func (sv *Supervisor) Checkpoint(p *sim.Proc) error {
 	// state lives on shard 0, while the checkpointing process may run
 	// anywhere — a Global section flips the suspension with every shard
 	// quiescent (inline on one shard).
-	if sv.det != nil {
-		sv.M.Group.Global(p, func(sim.Time) { sv.det.Suspend() })
-		defer sv.M.Group.Global(p, func(sim.Time) { sv.det.Resume() })
+	if h := sv.heal; h != nil {
+		sv.M.Group.Global(p, func(sim.Time) { h.Det.Suspend() })
+		defer sv.M.Group.Global(p, func(sim.Time) { h.Det.Resume() })
 	}
 	snaps, err := sv.M.SnapshotAll(p)
 	if err != nil {
@@ -220,59 +209,85 @@ func (sv *Supervisor) noteFault(err error) {
 // generation so tokens of a halted restart are skipped.
 type okTok struct{ gen int64 }
 
-// raise sends a body error toward the shard-0 alarm channel.
-func (sv *Supervisor) raise(bp *sim.Proc, shard int, err error) {
+// toControl sends v from a body on shard toward the shard-0 channel c:
+// directly on shard 0, through the shard's uplink edge elsewhere.
+func toControl(bp *sim.Proc, shard int, c *sim.Chan, up []*sim.XChan, v interface{}) {
 	if shard == 0 {
-		sv.alarm.Send(bp, err)
+		c.Send(bp, v)
 		return
 	}
-	sv.up[shard].Send(bp, err)
+	up[shard].Send(bp, v)
 }
 
-// okDone sends a body-completed token toward the shard-0 ok channel.
-func (sv *Supervisor) okDone(bp *sim.Proc, shard int, gen int64) {
-	if shard == 0 {
-		sv.okc.Send(bp, okTok{gen: gen})
-		return
-	}
-	sv.okUp[shard].Send(bp, okTok{gen: gen})
-}
-
-// Run executes body once per node under supervision: it takes an
-// initial checkpoint, spawns one process per node, and waits for all
-// of them — or for a fault. A body that returns an error raises an
-// alarm (so does the fault injector, for crashes); the supervisor then
-// halts everything, rolls the machine back, and replays, up to
-// MaxRestarts times. Bodies spawn on their nodes' own shards inside a
-// Global section, completions and alarms travel the staged uplink
-// edges, and the supervising process (which must run on shard 0, where
-// the alarm channel lives) collects them.
-func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) error {
+// Run executes body once per image under supervision: it takes an
+// initial checkpoint, spawns one process per image on the board that
+// carries it, and waits for all of them — or for a fault. A body that
+// returns an error raises an alarm (so do the fault injector, for
+// declared crashes, and the detector); the supervisor then recovers
+// and replays, up to MaxRestarts times. Bodies spawn on their boards'
+// own shards inside a Global section, completions and alarms travel the
+// staged uplink edges, and the supervising process (which must run on
+// shard 0, where the alarm channel lives) collects them.
+func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
 	m := sv.M
-	n := m.Spec.Nodes
-	if err := sv.Checkpoint(p); err != nil {
-		return err
+	// Without a healer the images are the node ids, in order.
+	imgs := make([]int, len(m.Nodes))
+	for i := range imgs {
+		imgs[i] = i
 	}
-	for restart := 0; ; restart++ {
+	boardOf := func(img int) int { return img }
+	if h := sv.heal; h != nil {
+		imgs = h.Images()
+		boardOf = func(img int) int { return h.physOf[img] }
+	}
+	restart := 0
+	// The boot checkpoint itself can be torn by a fault (the stall
+	// watchdog turns that into an error rather than a wedged machine);
+	// recover and retry within the restart budget.
+	for {
+		err := sv.Checkpoint(p)
+		if err == nil {
+			break
+		}
+		if restart >= MaxRestarts {
+			return err
+		}
+		restart++
+		if err := sv.recoverRetrying(p, &restart, err); err != nil {
+			return err
+		}
+	}
+	if h := sv.heal; h != nil {
+		m.Group.Global(p, func(sim.Time) { h.Det.Start() })
+		defer m.Group.Global(p, func(sim.Time) { h.Det.Stop() })
+	}
+	for ; ; restart++ {
 		sv.gen++
 		gen := sv.gen
-		sv.procs = make([]*sim.Proc, n)
+		sv.procs = make([]*sim.Proc, len(m.Nodes))
 		m.Group.Global(p, func(sim.Time) {
-			for id := 0; id < n; id++ {
-				nodeID := id
-				shard := m.shardOf(id)
-				sv.procs[id] = m.Group.Shard(shard).Go(fmt.Sprintf("supervisor/n%d", nodeID), func(bp *sim.Proc) {
-					if err := body(bp, nodeID); err != nil {
+			for _, img := range imgs {
+				img := img
+				phys := boardOf(img)
+				shard := m.shardOf(phys)
+				pr := m.Group.Shard(shard).Go(fmt.Sprintf("supervisor/img%d", img), func(bp *sim.Proc) {
+					if err := body(bp, img); err != nil {
 						sv.noteFault(err)
-						sv.raise(bp, shard, err)
+						toControl(bp, shard, sv.alarm, sv.up, err)
 						return
 					}
-					sv.okDone(bp, shard, gen)
+					toControl(bp, shard, sv.okc, sv.okUp, okTok{gen: gen})
 				})
+				sv.procs[phys] = pr
+				if sv.hung[phys] {
+					// The board wedged before this body ever ran; it stops
+					// dead, and only the progress-watching detector can tell.
+					pr.Kill()
+				}
 			}
 		})
 		var faultErr error
-		for oks := 0; oks < n && faultErr == nil; {
+		for oks := 0; oks < len(imgs) && faultErr == nil; {
 			which, v := sim.Select(p, sv.alarm, sv.okc)
 			if which == 0 {
 				faultErr = v.(error)
@@ -283,26 +298,49 @@ func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) er
 		if faultErr == nil {
 			return nil
 		}
-		if restart >= sv.MaxRestarts {
+		if restart >= MaxRestarts {
 			m.Group.Global(p, func(sim.Time) { sv.killBodies() })
 			return fmt.Errorf("supervisor: giving up after %d restarts: %v", restart, faultErr)
 		}
-		if err := sv.recover(p); err != nil {
+		if err := sv.recoverRetrying(p, &restart, faultErr); err != nil {
 			return err
 		}
 	}
 }
 
-// recover is the recovery sequence: halt, drain, flush, repair,
+// recoverRetrying runs recover, retrying within the restart budget
+// when recovery is itself interrupted (a second board dying
+// mid-restore).
+func (sv *Supervisor) recoverRetrying(p *sim.Proc, restart *int, cause error) error {
+	for {
+		err := sv.recover(p, cause)
+		if err == nil {
+			return nil
+		}
+		*restart++
+		if *restart > MaxRestarts {
+			return err
+		}
+		cause = err
+	}
+}
+
+// recover is the recovery sequence: halt, drain, flush and repair,
 // restore, and clear stale alarms. The halt/flush/repair steps mutate
 // state owned by every shard, so each runs in a Global section; the
 // drain wait between them is real simulated time, during which
 // in-flight DMA transfers, router forwards and staged frames (bounded
 // by the frame transfer time, microseconds against a 500 ms drain)
-// settle, so nothing re-enters the queues behind our back.
-func (sv *Supervisor) recover(p *sim.Proc) error {
-	m := sv.M
+// settle, so nothing re-enters the queues behind our back. The repair
+// step is the one fork: without a healer, dead boards are repaired in
+// place; with one, the remap walk moves their images onto spares.
+func (sv *Supervisor) recover(p *sim.Proc, cause error) error {
+	m, h := sv.M, sv.heal
 	start := p.Now()
+	if h != nil {
+		m.Group.Global(p, func(sim.Time) { h.Det.Suspend() })
+		defer m.Group.Global(p, func(sim.Time) { h.Det.Resume() })
+	}
 	m.Group.Global(p, func(sim.Time) {
 		sv.killBodies()
 		// A crash can land mid-checkpoint; abort the snapshot workers
@@ -312,27 +350,45 @@ func (sv *Supervisor) recover(p *sim.Proc) error {
 			mod.AbortSnapshot()
 		}
 	})
-	p.Wait(sv.DrainTime)
-	m.Group.Global(p, func(sim.Time) {
-		m.Net.Flush()
-		for _, mod := range m.Modules {
-			mod.FlushThread()
+	p.Wait(DrainTime)
+	if h != nil {
+		if err := h.remap(p, cause); err != nil {
+			return err
 		}
-		for _, nd := range m.Nodes {
-			if !nd.Alive() {
-				nd.Repair()
+	} else {
+		m.Group.Global(p, func(sim.Time) {
+			sv.flush()
+			for _, nd := range m.Nodes {
+				if !nd.Alive() {
+					nd.Repair()
+				}
 			}
-		}
-	})
-	// Rewind to the newest snapshot; if its blocks rotted on disk,
-	// fall back one generation.
-	if err := sv.restoreLatest(p); err != nil {
-		return err
+		})
 	}
-	sv.Rollbacks++
+	// With no snapshot on disk (the boot checkpoint was torn) there is
+	// nothing to rewind: the boards still hold their boot state, and
+	// Run takes the checkpoint again.
+	if sv.lastSnaps != nil {
+		if err := sv.restoreLatest(p); err != nil {
+			return err
+		}
+		sv.Rollbacks++
+	}
 	sv.drainAlarms()
 	sv.LastRecovery = p.Now().Sub(start)
+	if h != nil {
+		m.K.Count("heal.recover_ns", int64(sv.LastRecovery/sim.Nanosecond))
+	}
 	return nil
+}
+
+// flush drops every in-flight message and system-thread transfer. Call
+// it with every shard quiescent.
+func (sv *Supervisor) flush() {
+	sv.M.Net.Flush()
+	for _, mod := range sv.M.Modules {
+		mod.FlushThread()
+	}
 }
 
 // restoreLatest rewinds to the newest snapshot, falling back one
@@ -361,21 +417,10 @@ func (sv *Supervisor) drainAlarms() {
 
 // ArmFaults attaches a fault plan to the machine: the plan's bit-error
 // injector goes on every link (node links and module system links),
-// and each timed event is scheduled on the kernel. sv may be nil when
-// no supervision is wanted (pure injection experiments).
+// and each timed event is scheduled on its target's owning shard. sv
+// may be nil when no supervision is wanted (pure injection
+// experiments); otherwise it hears of every crash and hang.
 func (m *Machine) ArmFaults(plan *fault.Plan, sv *Supervisor) {
-	// The typed-nil guard matters: wrapping a nil *Supervisor in the
-	// interface would make sink != nil while every call panics.
-	var sink FaultSink
-	if sv != nil {
-		sink = sv
-	}
-	m.ArmFaultsSink(plan, sink)
-}
-
-// ArmFaultsSink is ArmFaults with an arbitrary fault observer. Each
-// timed event is scheduled on its target's owning shard.
-func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 	if plan == nil {
 		return
 	}
@@ -411,23 +456,23 @@ func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 				shard = m.shardOf(ev.Node)
 			}
 		}
-		m.Group.Shard(shard).At(sim.Time(ev.At), func() { m.applyFault(ev, sink) })
+		m.Group.Shard(shard).At(sim.Time(ev.At), func() { m.applyFault(ev, sv) })
 	}
 }
 
 // applyFault executes one timed fault event.
-func (m *Machine) applyFault(ev fault.Event, sink FaultSink) {
+func (m *Machine) applyFault(ev fault.Event, sv *Supervisor) {
 	switch ev.Kind {
 	case fault.Crash:
 		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() {
 			m.Nodes[ev.Node].Crash()
-			if sink != nil {
-				sink.NodeCrashed(ev.Node, !ev.Silent)
+			if sv != nil {
+				sv.nodeCrashed(ev.Node, !ev.Silent)
 			}
 		}
 	case fault.Hang:
-		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() && sink != nil {
-			sink.NodeHung(ev.Node)
+		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() && sv != nil {
+			sv.nodeHung(ev.Node)
 		}
 	case fault.LinkDown, fault.LinkUp:
 		if ev.Node < len(m.Nodes) && ev.Dim < m.Dim {

@@ -126,3 +126,27 @@ func TestFaultTolerantSAXPYCancelMidRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultTolerantSAXPYCrashDuringBootCheckpoint crashes a node 3 s
+// in, while the boot checkpoint is still streaming, so that snapshot
+// stalls with no earlier one on disk. The plain supervisor must repair
+// the board in place, take the checkpoint again and finish bit-correct,
+// on a one-module machine (dim 2, one shard) and a two-module one
+// (dim 4, two shards).
+func TestFaultTolerantSAXPYCrashDuringBootCheckpoint(t *testing.T) {
+	for _, c := range []struct{ dim, node int }{{2, 1}, {4, 9}} {
+		plan := &fault.Plan{Seed: 1, Events: []fault.Event{
+			{At: 3 * sim.Second, Kind: fault.Crash, Node: c.node},
+		}}
+		res, err := FaultTolerantSAXPY(context.Background(), c.dim, 4, 5, 2*sim.Second, 0, plan)
+		if err != nil {
+			t.Fatalf("dim %d: %v", c.dim, err)
+		}
+		if !res.Correct {
+			t.Fatalf("dim %d: run is not bit-correct", c.dim)
+		}
+		if res.Faults.Crashes != 1 {
+			t.Fatalf("dim %d: crash count = %d, want 1", c.dim, res.Faults.Crashes)
+		}
+	}
+}

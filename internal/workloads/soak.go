@@ -170,9 +170,8 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 		return SoakResult{}, err
 	}
 	defer m.Close()
-	m.Spec.Recovery.SpareNodes = params.Spares
 	sv := machine.NewSupervisor(m)
-	h, err := machine.NewHealer(m, sv)
+	h, err := machine.NewHealer(m, sv, params.Spares)
 	if err != nil {
 		return SoakResult{}, err
 	}
@@ -199,7 +198,7 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 	var verifyErr error
 	var runErr error
 	m.K.Go("soak/supervise", func(p *sim.Proc) {
-		runErr = h.Run(p, func(bp *sim.Proc, img int) error {
+		runErr = sv.Run(p, func(bp *sim.Proc, img int) error {
 			err := soakBody(bp, h, sv, img, imgs, pos, params, total)
 			if err != nil && verifyErr == nil {
 				verifyErr = err
