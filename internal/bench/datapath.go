@@ -19,14 +19,15 @@ type nackEvery struct {
 	k, n int
 }
 
-func (c *nackEvery) Corrupt(_ string, data []byte) []byte {
+// firstByte inverts every bit of a frame's first byte.
+var firstByte = []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+func (c *nackEvery) Corrupt(string, []byte) []int {
 	c.n++
 	if c.n%c.k != 0 {
 		return nil
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0xFF
-	return bad
+	return firstByte
 }
 
 func datapathScenarios() []scenario {

@@ -359,11 +359,3 @@ func (e *Endpoint) AllToAllF64(p *sim.Proc, tag int, vals []fparith.F64) ([]fpar
 
 // AddF64 is the usual reduction operator.
 func AddF64(a, b fparith.F64) fparith.F64 { return fparith.Add64(a, b) }
-
-// MaxF64 keeps the larger operand (NaNs lose).
-func MaxF64(a, b fparith.F64) fparith.F64 {
-	if fparith.Cmp64(a, b) == 1 {
-		return a
-	}
-	return b
-}

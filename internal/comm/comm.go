@@ -105,9 +105,9 @@ func CubeSublink(d int) int { return cubeSublink[d] }
 // (node, dimension) pair. The nodes may be spread over the shards of g:
 // shardOf maps a node id to its owning shard, and each node's kernel
 // must be g.Shard(shardOf(id)). A serial network is the one-shard case
-// (sim.OneShard). An edge whose endpoints share a shard is an ordinary
-// link.Connect pair; a cross-shard edge becomes a staged pair
-// (link.ConnectStaged) whose frames travel through XChan edges with the
+// (sim.OneShard). Each edge is wired by link.Pair: an ordinary
+// link.Connect pair when its endpoints share a shard, otherwise a
+// staged pair whose frames travel through XChan edges with the
 // link-layer lookahead — the DMA startup plus one byte time that even
 // the smallest frame pays, which is exactly the latency floor
 // machine.PlanPartition derives.
@@ -132,9 +132,7 @@ func BuildCube(g *sim.ShardGroup, nodes []*node.Node, shardOf func(id int) int) 
 			mailboxes: map[int]*sim.Chan{},
 		})
 	}
-	// Wire dimension d between id and id^(1<<d), once per edge. A
-	// cross-shard edge stages each direction through an XChan that
-	// delivers straight into the far sublink's inbox.
+	// Wire dimension d between id and id^(1<<d), once per edge.
 	for id := range nodes {
 		for d := 0; d < dim; d++ {
 			nb := cube.Neighbor(id, d)
@@ -143,16 +141,7 @@ func BuildCube(g *sim.ShardGroup, nodes []*node.Node, shardOf func(id int) int) 
 			}
 			a := nodes[id].Sublink(CubeSublink(d))
 			b := nodes[nb].Sublink(CubeSublink(d))
-			sa, sb := shardOf(id), shardOf(nb)
-			if sa == sb {
-				if err := link.Connect(a, b); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			ab := g.ConnectInto(sa, sb, fmt.Sprintf("xcube/n%d-n%d/d%d", id, nb, d), link.Lookahead, b.Inbox())
-			ba := g.ConnectInto(sb, sa, fmt.Sprintf("xcube/n%d-n%d/d%d", nb, id, d), link.Lookahead, a.Inbox())
-			if err := link.ConnectStaged(a, b, ab, ba); err != nil {
+			if err := link.Pair(g, a, b, shardOf(id), shardOf(nb)); err != nil {
 				return nil, err
 			}
 		}

@@ -124,22 +124,3 @@ func (n *Network) buildNextHop() [][]int8 {
 	}
 	return hop
 }
-
-// Reachable reports whether dst can currently be reached from src over
-// live channels. On a healthy network it is always true.
-func (n *Network) Reachable(src, dst int) bool {
-	if src == dst {
-		return n.alive(src)
-	}
-	if v := n.view; v != nil {
-		if v.healthy {
-			return true
-		}
-		return n.alive(src) && n.alive(dst) && v.nextHop[src][dst] >= 0
-	}
-	t := n.refreshRoutes()
-	if t.healthy {
-		return true
-	}
-	return n.alive(src) && n.alive(dst) && t.nextHop[src][dst] >= 0
-}

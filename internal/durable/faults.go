@@ -1,8 +1,6 @@
 package durable
 
 import (
-	"math/rand"
-	"sort"
 	"sync"
 	"syscall"
 )
@@ -41,10 +39,10 @@ type faultPoint struct {
 	kind FaultKind
 }
 
-// DiskFaults is a seeded plan of host-disk failures for the durable
-// layer, mirroring the shape of internal/fault's simulated plans: the
-// seed fixes every fault offset, so a failing soak replays exactly.
-// One DiskFaults may be shared by a Journal and a Store; they draw from
+// DiskFaults is a plan of host-disk failures for the durable layer,
+// mirroring the shape of internal/fault's simulated plans: every fault
+// sits at a fixed cumulative byte offset, so a failing run replays
+// exactly. One DiskFaults may be shared by a Journal and a Store; they draw from
 // the same cumulative byte budget, so fault order follows real write
 // order. Each planned point fires once.
 type DiskFaults struct {
@@ -53,21 +51,8 @@ type DiskFaults struct {
 	points  []faultPoint
 }
 
-// NewDiskFaults places one fault of each given kind at a seeded offset
-// within the first window bytes written through the plan. Offsets are
-// deterministic in (seed, window, kinds).
-func NewDiskFaults(seed, window int64, kinds ...FaultKind) *DiskFaults {
-	rng := rand.New(rand.NewSource(seed))
-	d := &DiskFaults{}
-	for _, k := range kinds {
-		d.points = append(d.points, faultPoint{at: rng.Int63n(window), kind: k})
-	}
-	sort.Slice(d.points, func(i, j int) bool { return d.points[i].at < d.points[j].at })
-	return d
-}
-
 // FaultAt places a single fault of kind k exactly at cumulative byte
-// offset at — for tests that need a planned, not sampled, location.
+// offset at.
 func FaultAt(at int64, kind FaultKind) *DiskFaults {
 	return &DiskFaults{points: []faultPoint{{at: at, kind: kind}}}
 }

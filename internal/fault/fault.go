@@ -134,19 +134,19 @@ func (pl *Plan) next01() float64 {
 func (pl *Plan) NextUint() uint64 { return pl.next() }
 
 // Corrupt implements the link layer's frame-corruption hook: given the
-// payload of one transfer it returns nil if the frame crosses clean, or
-// a damaged copy with one or more bits inverted. Error positions are
-// drawn geometrically from the BER, so the per-frame corruption
-// probability is 1-(1-BER)^(8·len) — long frames are proportionally
-// more exposed, exactly like real serial links.
-func (pl *Plan) Corrupt(name string, data []byte) []byte {
+// frame of one transfer it returns the bit positions the wire inverts,
+// ascending, or nil if the frame crosses clean. It never touches the
+// frame. Error positions are drawn geometrically from the BER, so the
+// per-frame corruption probability is 1-(1-BER)^(8·len) — long frames
+// are proportionally more exposed, exactly like real serial links.
+func (pl *Plan) Corrupt(name string, data []byte) []int {
 	p := pl.BER
 	if p <= 0 || len(data) == 0 {
 		return nil
 	}
 	bits := len(data) * 8
 	logq := math.Log1p(-p)
-	var out []byte
+	var flips []int
 	pos := -1
 	for {
 		skip := int(math.Log(pl.next01()) / logq)
@@ -154,14 +154,11 @@ func (pl *Plan) Corrupt(name string, data []byte) []byte {
 			break
 		}
 		pos += skip + 1
-		if out == nil {
-			out = append([]byte(nil), data...)
-		}
-		out[pos/8] ^= 1 << uint(pos%8)
-		pl.BitsFlipped++
+		flips = append(flips, pos)
 	}
-	if out != nil {
+	if flips != nil {
 		pl.FramesCorrupted++
+		pl.BitsFlipped += int64(len(flips))
 	}
-	return out
+	return flips
 }

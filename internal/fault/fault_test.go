@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"tseries/internal/sim"
@@ -59,28 +60,48 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// corruptPin is the flip stream of Plan{Seed: 42, BER: 1e-4} over 64
+// zeroed 1 KiB frames, recorded when Corrupt still returned damaged
+// copies (the positions are the XOR of each copy with its input). The
+// fault stream must not move when the injector's contract does.
+var corruptPin = [][]int{
+	nil, nil, nil, nil, {1412}, {2223}, {4804}, {7072},
+	{6538}, nil, nil, {7021}, {3725, 4162}, {5111}, nil, nil,
+	{2984, 5399, 5998}, {2358, 4096}, {2456, 6958}, nil, nil, {2728}, {6343}, nil,
+	{2551, 6582}, nil, nil, {6834, 7146}, nil, nil, nil, nil,
+	{1953, 5755}, {1333}, nil, {358, 5309}, nil, {4729, 4863}, {1147, 1934, 3022, 6984}, {1800, 4058, 6082},
+	{2103}, {7003}, {3142}, nil, {2983}, {2187, 5389, 7013}, {2780}, nil,
+	{6823}, nil, {3973}, {3361}, {3434}, {2522, 4639, 7890}, nil, nil,
+	nil, {1940}, {5029}, {473}, nil, nil, {1323}, {64, 1585, 3377},
+}
+
 func TestCorruptDeterministic(t *testing.T) {
 	frame := make([]byte, 1024)
-	damage := func(seed uint64) ([]int64, [][]byte) {
+	damage := func(seed uint64) ([]int64, [][]int) {
 		pl := &Plan{Seed: seed, BER: 1e-4}
-		var outs [][]byte
+		var outs [][]int
 		for i := 0; i < 64; i++ {
 			outs = append(outs, pl.Corrupt("x", frame))
 		}
 		return []int64{pl.FramesCorrupted, pl.BitsFlipped}, outs
 	}
 	c1, o1 := damage(42)
-	c2, o2 := damage(42)
-	if c1[0] != c2[0] || c1[1] != c2[1] {
-		t.Fatalf("counters diverged: %v vs %v", c1, c2)
-	}
-	if c1[0] == 0 {
-		t.Fatal("BER 1e-4 corrupted nothing in 64 KB")
+	if c1[0] != 37 || c1[1] != 58 {
+		t.Fatalf("seed 42: frames corrupted %d, bits flipped %d; want 37, 58", c1[0], c1[1])
 	}
 	for i := range o1 {
-		if string(o1[i]) != string(o2[i]) {
-			t.Fatalf("frame %d corruption diverged", i)
+		if !reflect.DeepEqual(o1[i], corruptPin[i]) {
+			t.Fatalf("seed 42 frame %d: flips %v, want %v", i, o1[i], corruptPin[i])
 		}
+	}
+	for _, b := range frame {
+		if b != 0 {
+			t.Fatal("Corrupt modified the frame it was given")
+		}
+	}
+	c2, o2 := damage(42)
+	if c1[0] != c2[0] || c1[1] != c2[1] || !reflect.DeepEqual(o1, o2) {
+		t.Fatalf("seed 42 rerun diverged: %v vs %v", c1, c2)
 	}
 	c3, _ := damage(43)
 	if c1[0] == c3[0] && c1[1] == c3[1] {

@@ -12,8 +12,6 @@
 // for reductions — all per §II "Arithmetic" of the paper.
 package fpu
 
-import "tseries/internal/sim"
-
 // Precision selects 32- or 64-bit mode for a vector form.
 type Precision int
 
@@ -28,14 +26,6 @@ func (p Precision) String() string {
 		return "32-bit"
 	}
 	return "64-bit"
-}
-
-// ElemBytes reports the operand size in bytes.
-func (p Precision) ElemBytes() int {
-	if p == P32 {
-		return 4
-	}
-	return 8
 }
 
 // Pipe is one pipelined functional unit. Only its depth (start-up
@@ -64,9 +54,4 @@ func (pp *Pipe) Depth(prec Precision) int {
 		return pp.depth32
 	}
 	return pp.depth64
-}
-
-// FillTime is the start-up latency before the first result emerges.
-func (pp *Pipe) FillTime(prec Precision) sim.Duration {
-	return sim.Duration(pp.Depth(prec)) * sim.Cycle
 }

@@ -98,10 +98,13 @@ func RetryBackoff(attempt int) sim.Duration {
 func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Injector lets a fault plan damage frames in flight. Corrupt is
-// called once per transmission attempt with the payload; it returns
-// nil when the frame crosses clean, or a damaged copy.
+// called once per transmission attempt with the frame as sent and
+// returns the bit positions the wire inverts (bit i is bit i%8 of byte
+// i/8), in ascending order with no repeats, or nil when the frame
+// crosses clean. It must not modify the frame: the link applies the
+// flips itself, in the sender's copy.
 type Injector interface {
-	Corrupt(sublink string, data []byte) []byte
+	Corrupt(sublink string, frame []byte) []int
 }
 
 // DownError reports that a transfer was abandoned after exhausting its
@@ -126,13 +129,6 @@ func IsDown(err error) bool {
 // bandwidth of one link in bytes per second.
 func EffectiveBandwidth() float64 {
 	return 1 / ByteTime.Seconds()
-}
-
-// Message is one DMA transfer's payload.
-type Message struct {
-	Data     []byte
-	From     string // sending sublink, for tracing
-	Checksum uint32 // frame checksum as transmitted
 }
 
 // Link is one node's driver for a single physical serial link. Its
@@ -180,7 +176,7 @@ func (l *Link) SetDown(down bool) {
 // link. It is connected point-to-point to a peer sublink on another node.
 type Sublink struct {
 	parent *Link
-	index  int
+	name   string
 	peer   *Sublink
 	staged *stagedPeer // cross-shard peer (see staged.go); nil when local
 	inbox  *sim.Chan
@@ -191,11 +187,9 @@ type Sublink struct {
 func NewLink(k *sim.Kernel, name string) *Link {
 	l := &Link{Name: name, k: k, wire: sim.NewResource(k, name+"/wire", 1)}
 	for i := range l.subs {
-		l.subs[i] = &Sublink{
-			parent: l,
-			index:  i,
-			inbox:  sim.NewChan(k, fmt.Sprintf("%s/sub%d/in", name, i), 1024),
-		}
+		in := fmt.Sprintf("%s/sub%d/in", name, i)
+		sub := in[:len(in)-len("/in")] // the sublink name shares the inbox name's bytes
+		l.subs[i] = &Sublink{parent: l, name: sub, inbox: sim.NewChan(k, in, 1024)}
 	}
 	return l
 }
@@ -210,14 +204,23 @@ func (l *Link) Wire() *sim.Resource { return l.wire }
 // must be unconnected and distinct — a sublink cannot be wired to
 // itself.
 func Connect(a, b *Sublink) error {
-	if a == b {
-		return fmt.Errorf("link: cannot connect %s to itself", a.Name())
-	}
-	if a.peer != nil || b.peer != nil || a.staged != nil || b.staged != nil {
-		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
+	if err := checkUnpaired(a, b); err != nil {
+		return err
 	}
 	a.peer, b.peer = b, a
 	topoEpoch.Add(1)
+	return nil
+}
+
+// checkUnpaired rejects a pairing of a sublink with itself or with an
+// end that is already connected, locally or across shards.
+func checkUnpaired(a, b *Sublink) error {
+	if a == b {
+		return fmt.Errorf("link: cannot connect %s to itself", a.name)
+	}
+	if a.Connected() || b.Connected() {
+		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.name, b.name)
+	}
 	return nil
 }
 
@@ -243,9 +246,7 @@ func Rewire(a, b *Sublink) error {
 }
 
 // Name identifies the sublink for tracing.
-func (s *Sublink) Name() string {
-	return fmt.Sprintf("%s/sub%d", s.parent.Name, s.index)
-}
+func (s *Sublink) Name() string { return s.name }
 
 // Connected reports whether the sublink has a peer (local or staged).
 func (s *Sublink) Connected() bool { return s.peer != nil || s.staged != nil }
@@ -289,29 +290,30 @@ func (s *Sublink) Up() bool {
 // injector attached and both ends up, the timing and behaviour are
 // identical to a bare transfer.
 func (s *Sublink) Send(p *sim.Proc, data []byte) error {
-	if s.peer == nil && s.staged == nil {
-		return fmt.Errorf("link: %s is not connected", s.Name())
+	if !s.Connected() {
+		return fmt.Errorf("link: %s is not connected", s.name)
 	}
 	if len(data) == 0 {
-		return fmt.Errorf("link: empty transfer on %s", s.Name())
+		return fmt.Errorf("link: empty transfer on %s", s.name)
 	}
 	l := s.parent
 	// The frame is staged once, at the first attempt that actually
-	// drives the wire: one copy of the payload (so the caller may reuse
-	// its buffer immediately) and one checksum, both shared by every
-	// retransmission of this Send. Ownership passes to the receiver on
-	// delivery; a frame that is never delivered goes back to the pool.
+	// drives the wire: one private copy of the payload (so the caller
+	// may reuse its buffer immediately) and one checksum, both shared by
+	// every retransmission of this Send. Wire damage is applied to this
+	// copy and undone on a nack; ownership passes to the receiver on
+	// delivery.
 	var frame []byte
 	var sum uint32
 	timeouts := 0
 	for {
 		if frame == nil && s.Up() {
-			frame = stageFrame(data)
+			frame = append([]byte(nil), data...)
 			sum = Checksum(frame)
 		}
-		delivered, acked, err := s.attempt(p, frame, sum)
+		delivered, acked := s.attempt(p, frame, sum)
 		if delivered {
-			return err
+			return nil
 		}
 		l.Retransmits++
 		if acked {
@@ -323,55 +325,70 @@ func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 		timeouts++
 		if timeouts >= MaxSendAttempts {
 			l.Drops++
-			putFrame(frame)
-			return &DownError{Sublink: s.Name(), Attempts: timeouts}
+			return &DownError{Sublink: s.name, Attempts: timeouts}
 		}
 		p.Wait(RetryBackoff(timeouts))
 	}
 }
 
 // attempt performs one transmission of the staged frame. delivered means
-// the frame reached the peer (or the send must not be retried); acked
-// distinguishes a nack (checksum reject from a live peer) from silence
-// (dead wire). frame is nil exactly when the channel is down.
-func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool, err error) {
-	if s.staged != nil {
-		return s.attemptStaged(p, frame, sum)
-	}
+// the frame reached the peer; acked distinguishes a nack (checksum
+// reject from a live peer) from silence (dead wire). frame is nil only
+// while the channel is down.
+func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool) {
 	l := s.parent
-	if s.down || s.peer.down {
+	if !s.Up() {
 		// The DMA arms and drives the first bytes, but no acknowledge
 		// bits ever come back.
 		l.wire.Use(p, DMAStartup+AckTimeout)
 		l.Timeouts++
-		return false, false, nil
+		return false, false
 	}
-	l.wire.Use(p, DMAStartup+sim.Duration(len(frame))*ByteTime)
+	if s.staged != nil {
+		return s.attemptStaged(p, frame, sum), true
+	}
+	l.wire.Use(p, TransferTime(len(frame)))
+	if !s.transmit(frame, sum) {
+		return false, true
+	}
+	s.peer.inbox.Send(p, frame)
+	return true, true
+}
+
+// transmit is the wire crossing of one attempt, once the wire is held:
+// it counts the transfer, lets the injector damage the frame in place,
+// and applies the receiver's checksum. On a mismatch the receiver nacks
+// and transmit returns false, having undone the flips — the sender's
+// copy is the pristine master again for the retransmission. Damage the
+// checksum misses is counted as Undetected and travels on to the
+// receiver with the frame.
+func (s *Sublink) transmit(frame []byte, sum uint32) bool {
+	l := s.parent
 	l.BytesSent += int64(len(frame))
 	l.k.Count("link.bytes", int64(len(frame)))
 	l.Transfers++
-	if l.injector != nil {
-		// Corrupt never mutates its argument — it returns nil or a
-		// fresh damaged copy — so the master frame stays pristine for
-		// retransmission.
-		if bad := l.injector.Corrupt(s.Name(), frame); bad != nil {
-			l.Corrupted++
-			if Checksum(bad) != sum {
-				// Receiver's checksum rejects the frame: nack.
-				return false, true, nil
-			}
-			// The corruption slipped past the checksum — delivered
-			// wrong, counted as an uncorrected error. The damaged copy
-			// (owned by the injector call) goes to the receiver; the
-			// clean master is recycled.
-			l.Undetected++
-			s.peer.inbox.Send(p, Message{Data: bad, From: s.Name(), Checksum: sum})
-			putFrame(frame)
-			return true, true, nil
-		}
+	if l.injector == nil {
+		return true
 	}
-	s.peer.inbox.Send(p, Message{Data: frame, From: s.Name(), Checksum: sum})
-	return true, true, nil
+	flips := l.injector.Corrupt(s.name, frame)
+	if len(flips) == 0 {
+		return true
+	}
+	l.Corrupted++
+	flipBits(frame, flips)
+	if Checksum(frame) != sum {
+		flipBits(frame, flips)
+		return false
+	}
+	l.Undetected++
+	return true
+}
+
+// flipBits inverts the given bit positions of frame.
+func flipBits(frame []byte, bits []int) {
+	for _, b := range bits {
+		frame[b/8] ^= 1 << uint(b%8)
+	}
 }
 
 // Flush discards any messages queued in this sublink's inbox and
@@ -390,7 +407,7 @@ func (s *Sublink) Flush() int {
 // Recv blocks until a message arrives on this sublink and returns its
 // payload.
 func (s *Sublink) Recv(p *sim.Proc) []byte {
-	return s.inbox.Recv(p).(Message).Data
+	return s.inbox.Recv(p).([]byte)
 }
 
 // TryRecv returns a payload if one is already queued.
@@ -399,7 +416,7 @@ func (s *Sublink) TryRecv() ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return v.(Message).Data, true
+	return v.([]byte), true
 }
 
 // Ready reports whether a Recv would not block.

@@ -7,20 +7,17 @@ import (
 )
 
 // nackEvery corrupts every k-th transmission attempt, forcing the
-// receiver's checksum to nack it and the sender to retransmit — the
-// retry shape the pooled frame buffer targets.
+// receiver's checksum to nack it and the sender to retransmit.
 type nackEvery struct {
 	k, n int
 }
 
-func (inj *nackEvery) Corrupt(sublink string, data []byte) []byte {
+func (inj *nackEvery) Corrupt(sublink string, data []byte) []int {
 	inj.n++
 	if inj.n%inj.k != 0 {
 		return nil
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0x01
-	return bad
+	return []int{0}
 }
 
 func benchSend(b *testing.B, size int, inj Injector) {

@@ -2,8 +2,12 @@ package link
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"hash/crc32"
 	"testing"
 
+	"tseries/internal/fault"
 	"tseries/internal/sim"
 )
 
@@ -14,14 +18,12 @@ type corruptFirst struct {
 	seen int
 }
 
-func (c *corruptFirst) Corrupt(sublink string, data []byte) []byte {
+func (c *corruptFirst) Corrupt(sublink string, data []byte) []int {
 	c.seen++
 	if c.seen > c.n {
 		return nil
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0x80
-	return bad
+	return []int{7}
 }
 
 func TestConnectSelfAndDouble(t *testing.T) {
@@ -39,6 +41,28 @@ func TestConnectSelfAndDouble(t *testing.T) {
 	}
 	if err := Connect(a.Sublink(1), b.Sublink(0)); err == nil {
 		t.Fatal("double connect of b accepted")
+	}
+}
+
+func TestPairSelfAndDouble(t *testing.T) {
+	g := sim.NewShardGroup(2)
+	defer g.Close()
+	a := NewLink(g.Shard(0), "a/link0")
+	b := NewLink(g.Shard(1), "b/link0")
+	if err := Pair(g, a.Sublink(0), a.Sublink(0), 0, 0); err == nil {
+		t.Fatal("self-pair accepted")
+	}
+	if err := Pair(g, a.Sublink(0), b.Sublink(0), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Sublink(0).Connected() || !b.Sublink(0).Up() {
+		t.Fatal("cross-shard pair not connected")
+	}
+	if err := Pair(g, a.Sublink(0), a.Sublink(1), 0, 0); err == nil {
+		t.Fatal("local pair with a staged end accepted")
+	}
+	if err := Pair(g, a.Sublink(2), b.Sublink(0), 0, 1); err == nil {
+		t.Fatal("double staged pair accepted")
 	}
 }
 
@@ -178,5 +202,136 @@ func TestFlushDiscardsQueued(t *testing.T) {
 	}
 	if b.Sublink(0).Ready() {
 		t.Fatal("inbox still ready after flush")
+	}
+}
+
+// crcGenerator is CRC-32 IEEE's generator polynomial written as bit
+// offsets in wire order. Inverting these bits, shifted by any base,
+// adds a multiple of the generator to the frame, which leaves
+// crc32.ChecksumIEEE unchanged: the one corruption the frame checksum
+// can never see.
+var crcGenerator = []int{0, 6, 9, 10, 16, 20, 21, 22, 24, 25, 27, 28, 30, 31, 32}
+
+// undetectable damages the first attempt on a link with the generator
+// pattern at base, then lets frames through clean.
+type undetectable struct {
+	base int
+	seen int
+}
+
+func (u *undetectable) Corrupt(sublink string, data []byte) []int {
+	u.seen++
+	if u.seen > 1 {
+		return nil
+	}
+	flips := make([]int, len(crcGenerator))
+	for i, b := range crcGenerator {
+		flips[i] = u.base + b
+	}
+	return flips
+}
+
+// TestUndetectedCorruptionReachesReceiver drives the path no checksum
+// reject covers: damage the CRC misses is delivered as is, counted once
+// as Undetected, and never retransmitted. It runs on a local pair and
+// on a cross-shard staged pair, which share the transmit step.
+func TestUndetectedCorruptionReachesReceiver(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		for _, base := range []int{0, 3, 17, 100} {
+			t.Run(fmt.Sprintf("staged=%v/base=%d", staged, base), func(t *testing.T) {
+				testUndetected(t, staged, base)
+			})
+		}
+	}
+}
+
+func testUndetected(t *testing.T, staged bool, base int) {
+	g := sim.NewShardGroup(2)
+	defer g.Close()
+	sb := 0
+	if staged {
+		sb = 1
+	}
+	ka, kb := g.Shard(0), g.Shard(sb)
+	a, b := NewLink(ka, "a/link0"), NewLink(kb, "b/link0")
+	if err := Pair(g, a.Sublink(0), b.Sublink(0), 0, sb); err != nil {
+		t.Fatal(err)
+	}
+	inj := &undetectable{base: base}
+	a.SetInjector(inj)
+	first, second := make([]byte, 32), make([]byte, 32)
+	for i := range first {
+		first[i], second[i] = byte(i*37+1), byte(i*11+5)
+	}
+	want := append([]byte(nil), first...)
+	for _, bit := range crcGenerator {
+		want[(base+bit)/8] ^= 1 << uint((base+bit)%8)
+	}
+	if crc32.ChecksumIEEE(want) != crc32.ChecksumIEEE(first) {
+		t.Fatalf("base %d: the generator pattern changed the CRC", base)
+	}
+	var got [][]byte
+	ka.Go("tx", func(p *sim.Proc) {
+		if err := a.Sublink(0).Send(p, first); err != nil {
+			t.Errorf("first send: %v", err)
+		}
+		if a.Transfers != 1 {
+			t.Errorf("first send took %d transfers, want 1", a.Transfers)
+		}
+		if err := a.Sublink(0).Send(p, second); err != nil {
+			t.Errorf("second send: %v", err)
+		}
+	})
+	kb.Go("rx", func(p *sim.Proc) {
+		got = append(got, b.Sublink(0).Recv(p), b.Sublink(0).Recv(p))
+	})
+	g.Run(0)
+	if a.Corrupted != 1 || a.Undetected != 1 || a.Retransmits != 0 {
+		t.Fatalf("corrupted=%d undetected=%d retransmits=%d, want 1, 1, 0",
+			a.Corrupted, a.Undetected, a.Retransmits)
+	}
+	if len(got) != 2 || !bytes.Equal(got[0], want) {
+		t.Fatalf("first frame arrived as %x, want the sent frame with exactly the generator bits inverted (%x)", got, want)
+	}
+	if !bytes.Equal(got[1], second) {
+		t.Fatalf("second frame arrived as %x, want it intact", got[1])
+	}
+}
+
+// TestFaultPlanStreamThroughLink pins what a seeded fault plan does to
+// a long frame stream through a link pair, recorded when the plan still
+// returned damaged copies: which attempts it corrupts, how many
+// retransmissions that costs, and the bytes delivered.
+func TestFaultPlanStreamThroughLink(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	a, b := pair(k)
+	a.SetInjector(&fault.Plan{Seed: 7, BER: 1e-6})
+	const frames, size = 200, 64<<10 + 4
+	h := sha256.New()
+	k.Go("tx", func(p *sim.Proc) {
+		buf := make([]byte, size)
+		for f := 0; f < frames; f++ {
+			for i := range buf {
+				buf[i] = byte(i*31 + f)
+			}
+			if err := a.Sublink(0).Send(p, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	k.Go("rx", func(p *sim.Proc) {
+		for f := 0; f < frames; f++ {
+			h.Write(b.Sublink(0).Recv(p))
+		}
+	})
+	k.Run(0)
+	if a.Corrupted != 112 || a.Retransmits != 112 || a.Undetected != 0 || a.BytesSent != 20448480 {
+		t.Fatalf("corrupted=%d retransmits=%d undetected=%d bytes=%d, want 112, 112, 0, 20448480",
+			a.Corrupted, a.Retransmits, a.Undetected, a.BytesSent)
+	}
+	const digest = "5fc3b2f39e7efe1e7ae0d5c83daac8282a67b04193c48f118c84280a33683375"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != digest {
+		t.Fatalf("delivered stream digest %s, want %s", got, digest)
 	}
 }

@@ -1,10 +1,6 @@
 package link
 
-import (
-	"fmt"
-
-	"tseries/internal/sim"
-)
+import "tseries/internal/sim"
 
 // Cross-shard sublink wiring for the conservative parallel kernel
 // (sim.ShardGroup). A staged pair behaves like a Connect'ed pair — same
@@ -24,7 +20,7 @@ import (
 // outage at most one window (= one lookahead) late, which is
 // deterministic for a fixed partition and worker-invariant.
 type stagedPeer struct {
-	x      *sim.XChan // delivers Messages into the remote end's inbox
+	x      *sim.XChan // delivers frames into the remote end's inbox
 	remote *Sublink   // the far end; touched only at barriers (mirror sync)
 
 	// downMirror is the barrier-synced copy of remote.down. It is read
@@ -33,34 +29,28 @@ type stagedPeer struct {
 	downMirror bool
 }
 
-// ConnectStaged cross-wires two sublinks on different shard kernels
-// into a bidirectional channel. ab must be a staged edge delivering
-// into b's inbox, ba one delivering into a's inbox (built with
-// ShardGroup.ConnectInto and a latency of at most Lookahead — the
-// conservative floor every frame's real transfer time meets). Both
-// sublinks must be unconnected.
-func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
-	if a == b {
-		return fmt.Errorf("link: cannot connect %s to itself", a.Name())
+// Pair cross-wires sublink a, owned by shard sa of g, and sublink b,
+// owned by shard sb, into a bidirectional channel. A one-shard pair is
+// an ordinary Connect. A cross-shard pair is staged: each direction is
+// a g.ConnectInto edge with the link lookahead (the floor every frame's
+// real transfer time meets) delivering straight into the far end's
+// inbox. The a→b edge is registered before b→a, because the barrier
+// merge breaks delivery ties by edge registration order. Both sublinks
+// must be unconnected.
+func Pair(g *sim.ShardGroup, a, b *Sublink, sa, sb int) error {
+	if sa == sb {
+		return Connect(a, b)
 	}
-	if a.peer != nil || b.peer != nil || a.staged != nil || b.staged != nil {
-		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
+	if err := checkUnpaired(a, b); err != nil {
+		return err
 	}
-	if ab == nil || ba == nil {
-		return fmt.Errorf("link: staged pair %s ↔ %s needs both edges", a.Name(), b.Name())
-	}
-	if ab.Latency() > Lookahead || ba.Latency() > Lookahead {
-		return fmt.Errorf("link: staged pair %s ↔ %s: edge latency above the link lookahead %v", a.Name(), b.Name(), Lookahead)
-	}
+	ab := g.ConnectInto(sa, sb, a.name+"->"+b.name, Lookahead, b.inbox)
+	ba := g.ConnectInto(sb, sa, b.name+"->"+a.name, Lookahead, a.inbox)
 	a.staged = &stagedPeer{x: ab, remote: b}
 	b.staged = &stagedPeer{x: ba, remote: a}
 	topoEpoch.Add(1)
 	return nil
 }
-
-// StagedConnected reports whether the sublink is the local end of a
-// cross-shard pair.
-func (s *Sublink) StagedConnected() bool { return s.staged != nil }
 
 // SyncStagedMirror refreshes the sender-side outage mirror from the
 // remote end's actual state. It must be called only when both shards
@@ -78,40 +68,17 @@ func (s *Sublink) SyncStagedMirror() bool {
 	return true
 }
 
-// attemptStaged is the cross-shard variant of attempt: same timing and
-// outcome logic, but the remote outage state comes from the mirror and
-// the delivery is staged through the edge at wire-grant time, arriving
-// exactly one frame-transfer-time later — as it would on a local wire.
-func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool, err error) {
-	l := s.parent
-	if s.down || s.staged.downMirror {
-		l.wire.Use(p, DMAStartup+AckTimeout)
-		l.Timeouts++
-		return false, false, nil
-	}
-	dur := DMAStartup + sim.Duration(len(frame))*ByteTime
-	var nacked bool
-	l.wire.UseFunc(p, dur, func() {
-		l.BytesSent += int64(len(frame))
-		l.k.Count("link.bytes", int64(len(frame)))
-		l.Transfers++
-		data := frame
-		if l.injector != nil {
-			if bad := l.injector.Corrupt(s.Name(), frame); bad != nil {
-				l.Corrupted++
-				if Checksum(bad) != sum {
-					nacked = true
-					return
-				}
-				l.Undetected++
-				data = bad
-				putFrame(frame)
-			}
+// attemptStaged is the cross-shard leg of attempt on a live channel:
+// the same transmit step runs at wire-grant time, and a frame that
+// passes is staged through the edge, arriving exactly one
+// frame-transfer-time later — as it would on a local wire. It reports
+// whether the frame was delivered (false: nacked).
+func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, sum uint32) (delivered bool) {
+	dur := TransferTime(len(frame))
+	s.parent.wire.UseFunc(p, dur, func() {
+		if delivered = s.transmit(frame, sum); delivered {
+			s.staged.x.PostDelayed(frame, dur)
 		}
-		s.staged.x.PostDelayed(Message{Data: data, From: s.Name(), Checksum: sum}, dur)
 	})
-	if nacked {
-		return false, true, nil
-	}
-	return true, true, nil
+	return delivered
 }

@@ -88,10 +88,5 @@ func (r *VectorReg) F32(i int) fparith.F32 {
 	return fparith.F32(binary.LittleEndian.Uint32(r.buf[i*4:]))
 }
 
-// SetF32 stores 32-bit element i of the register.
-func (r *VectorReg) SetF32(i int, v fparith.F32) {
-	binary.LittleEndian.PutUint32(r.buf[i*4:], uint32(v))
-}
-
 // Bytes exposes the raw register contents (for link DMA staging).
 func (r *VectorReg) Bytes() []byte { return r.buf[:] }

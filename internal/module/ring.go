@@ -20,9 +20,9 @@ const kindBackup = 3
 // service daemon on each board, on that module's own kernel, that
 // stores arriving backup blocks on the local disk. The modules may be
 // spread over the shards of g (shardOf maps a module index to its
-// owning shard): ring segments whose endpoints live on different shard
-// kernels become staged link pairs over XChan edges (one per direction)
-// with the link-layer lookahead.
+// owning shard): each segment is wired by link.Pair, so one whose
+// endpoints live on different shard kernels becomes a staged link pair
+// over XChan edges (one per direction) with the link-layer lookahead.
 func ConnectRing(g *sim.ShardGroup, mods []*Module, shardOf func(idx int) int) error {
 	if len(mods) < 2 {
 		return fmt.Errorf("module: a ring needs at least two modules")
@@ -31,16 +31,7 @@ func ConnectRing(g *sim.ShardGroup, mods []*Module, shardOf func(idx int) int) e
 		next := mods[(i+1)%len(mods)]
 		out := mods[i].Sys.Link.Sublink(sysRingOut)
 		in := next.Sys.Link.Sublink(sysRingIn)
-		sa, sb := shardOf(i), shardOf(next.Index)
-		if sa == sb {
-			if err := link.Connect(out, in); err != nil {
-				return err
-			}
-			continue
-		}
-		ab := g.ConnectInto(sa, sb, fmt.Sprintf("xring/mod%d-mod%d", i, next.Index), link.Lookahead, in.Inbox())
-		ba := g.ConnectInto(sb, sa, fmt.Sprintf("xring/mod%d-mod%d", next.Index, i), link.Lookahead, out.Inbox())
-		if err := link.ConnectStaged(out, in, ab, ba); err != nil {
+		if err := link.Pair(g, out, in, shardOf(i), shardOf(next.Index)); err != nil {
 			return err
 		}
 	}

@@ -26,10 +26,6 @@ type Channel interface {
 // code (drivers, collectors in examples and tests).
 func RecvValue(p *sim.Proc, ch Channel) (interface{}, error) { return ch.recv(p) }
 
-// SendValue sends one value into an Occam channel on behalf of host code.
-// Supported values: int32, fparith.F64, bool.
-func SendValue(p *sim.Proc, ch Channel, v interface{}) error { return ch.send(p, v) }
-
 // internalChan is a same-node rendezvous channel.
 type internalChan struct{ ch *sim.Chan }
 
@@ -111,11 +107,11 @@ func (c *linkChan) recv(p *sim.Proc) (interface{}, error) {
 func (c *linkChan) altChan() *sim.Chan { return c.sl.Inbox() }
 
 func (c *linkChan) decode(raw interface{}) (interface{}, error) {
-	msg, ok := raw.(link.Message)
+	b, ok := raw.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("occam: unexpected %T on link channel", raw)
 	}
-	return decodeWire(msg.Data)
+	return decodeWire(b)
 }
 
 func decodeWire(b []byte) (interface{}, error) {

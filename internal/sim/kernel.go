@@ -527,9 +527,6 @@ func (k *Kernel) runWindow(before Time) (r interface{}) {
 	return nil
 }
 
-// Idle reports whether no events are pending and no processes are live.
-func (k *Kernel) Idle() bool { return k.laneLen == 0 && k.q.size == 0 && k.procs == 0 }
-
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.laneLen + k.q.size }
 

@@ -10,10 +10,7 @@
 // sub-nanosecond periods (62.5 ns vector half-cycles) are exact.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated instant, measured in picoseconds from the start of
 // the simulation.
@@ -55,11 +52,6 @@ func (d Duration) Microseconds() float64 { return float64(d) / float64(Microseco
 
 // Seconds reports d as a floating-point count of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Std converts a simulated duration to a time.Duration, saturating at the
-// picosecond-to-nanosecond boundary (fractions of a nanosecond are
-// truncated).
-func (d Duration) Std() time.Duration { return time.Duration(d / Nanosecond) }
 
 // String formats the duration with an appropriate unit.
 func (d Duration) String() string {
