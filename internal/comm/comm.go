@@ -300,7 +300,10 @@ func (e *Endpoint) route(p *sim.Proc, raw []byte, arriveDim int) {
 	}
 }
 
-// forward picks the outbound channel for a message to dst and sends it.
+// forward picks the outbound channel for a message to dst and hands
+// the frame over to it: raw is owned by this node (built by encode or
+// taken from an inbox), so no hop copies it, and a channel that fails
+// with a DownError hands it back untouched for the next candidate.
 // On a healthy network the choice is pure e-cube: the lowest differing
 // dimension, whose channel is up, so exactly one Send runs. With any
 // channel down or node crashed, the choice comes from the live-graph
@@ -323,7 +326,7 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 		if d < 0 {
 			return &UnreachableError{Src: e.id, Dst: dst}
 		}
-		err := e.nd.Sublink(CubeSublink(int(d))).Send(p, raw)
+		err := e.nd.Sublink(CubeSublink(int(d))).SendOwned(p, raw)
 		if err == nil {
 			if diff&(1<<uint(d)) == 0 {
 				e.Detours++
@@ -349,7 +352,7 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 		if d < 0 {
 			return &UnreachableError{Src: e.id, Dst: dst}
 		}
-		err := e.nd.Sublink(CubeSublink(int(d))).Send(p, raw)
+		err := e.nd.Sublink(CubeSublink(int(d))).SendOwned(p, raw)
 		if err == nil {
 			if diff&(1<<uint(d)) == 0 {
 				e.Detours++
@@ -369,7 +372,7 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 func (e *Endpoint) sendCandidates(p *sim.Proc, raw []byte, dst, arriveDim, diff int) error {
 	var lastErr error
 	for _, d := range e.candidates(dst, arriveDim) {
-		err := e.nd.Sublink(CubeSublink(d)).Send(p, raw)
+		err := e.nd.Sublink(CubeSublink(d)).SendOwned(p, raw)
 		if err == nil {
 			if diff&(1<<uint(d)) == 0 {
 				e.Detours++

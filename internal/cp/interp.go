@@ -397,6 +397,8 @@ func (c *CPU) chanOut(p *sim.Proc, st *proc) error {
 	return c.sendChan(p, st, int(ch), c.mem.PeekBytes(int(src), int(count)))
 }
 
+// sendChan sends data, a buffer the caller built for this message and
+// hands over, on channel ch.
 func (c *CPU) sendChan(p *sim.Proc, st *proc, ch int, data []byte) error {
 	c.flush(p, st)
 	if ch >= 0 && ch < link.SublinksPerNode {
@@ -404,7 +406,7 @@ func (c *CPU) sendChan(p *sim.Proc, st *proc, ch int, data []byte) error {
 		if l == nil {
 			return c.fault(st, fmt.Sprintf("out: link %d not fitted", ch/link.SublinksPerLink))
 		}
-		return l.Sublink(ch%link.SublinksPerLink).Send(p, data)
+		return l.Sublink(ch%link.SublinksPerLink).SendOwned(p, data)
 	}
 	sc, ok := c.chans[ch]
 	if !ok {

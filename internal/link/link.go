@@ -15,7 +15,6 @@ package link
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 
 	"tseries/internal/sim"
@@ -93,16 +92,13 @@ func RetryBackoff(attempt int) sim.Duration {
 	return d
 }
 
-// Checksum is the per-frame integrity check the receiver applies
-// before acknowledging a DMA transfer.
-func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
-
 // Injector lets a fault plan damage frames in flight. Corrupt is
 // called once per transmission attempt with the frame as sent and
 // returns the bit positions the wire inverts (bit i is bit i%8 of byte
 // i/8), in ascending order with no repeats, or nil when the frame
-// crosses clean. It must not modify the frame: the link applies the
-// flips itself, in the sender's copy.
+// crosses clean. It must not modify the frame: the link decides the
+// receiver's verdict from the positions alone and applies the flips
+// itself, only to a frame it delivers.
 type Injector interface {
 	Corrupt(sublink string, frame []byte) []int
 }
@@ -279,39 +275,38 @@ func (s *Sublink) Up() bool {
 
 // Send transfers data to the peer sublink, blocking the caller for the
 // DMA startup plus the serial wire time. Sublinks sharing a physical
-// link queue for the wire, dividing its bandwidth.
+// link queue for the wire, dividing its bandwidth. The frame on the
+// wire is a private copy of data, so the caller may reuse its buffer
+// as soon as Send returns; otherwise Send is SendOwned.
+func (s *Sublink) Send(p *sim.Proc, data []byte) error {
+	return s.SendOwned(p, append([]byte(nil), data...))
+}
+
+// SendOwned transfers frame to the peer sublink, handing the frame
+// itself over: the caller must not touch it again once the call
+// starts, and the receiver owns the slice its Recv returns. On an
+// error the frame was not delivered and comes back to the caller
+// unchanged, so a router may offer it to another channel.
 //
 // Delivery is reliable against wire corruption: each frame carries a
 // checksum, a corrupted frame is nacked by the receiver and
 // retransmitted at once (the nack proves the peer is alive), and a
 // frame that draws no acknowledge at all (severed wire, crashed peer)
 // is retried with exponential backoff until MaxSendAttempts silent
-// attempts, after which Send returns a DownError. With no fault
+// attempts, after which SendOwned returns a DownError. With no fault
 // injector attached and both ends up, the timing and behaviour are
 // identical to a bare transfer.
-func (s *Sublink) Send(p *sim.Proc, data []byte) error {
+func (s *Sublink) SendOwned(p *sim.Proc, frame []byte) error {
 	if !s.Connected() {
 		return fmt.Errorf("link: %s is not connected", s.name)
 	}
-	if len(data) == 0 {
+	if len(frame) == 0 {
 		return fmt.Errorf("link: empty transfer on %s", s.name)
 	}
 	l := s.parent
-	// The frame is staged once, at the first attempt that actually
-	// drives the wire: one private copy of the payload (so the caller
-	// may reuse its buffer immediately) and one checksum, both shared by
-	// every retransmission of this Send. Wire damage is applied to this
-	// copy and undone on a nack; ownership passes to the receiver on
-	// delivery.
-	var frame []byte
-	var sum uint32
 	timeouts := 0
 	for {
-		if frame == nil && s.Up() {
-			frame = append([]byte(nil), data...)
-			sum = Checksum(frame)
-		}
-		delivered, acked := s.attempt(p, frame, sum)
+		delivered, acked := s.attempt(p, frame)
 		if delivered {
 			return nil
 		}
@@ -331,11 +326,10 @@ func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 	}
 }
 
-// attempt performs one transmission of the staged frame. delivered means
-// the frame reached the peer; acked distinguishes a nack (checksum
-// reject from a live peer) from silence (dead wire). frame is nil only
-// while the channel is down.
-func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool) {
+// attempt performs one transmission of the frame. delivered means the
+// frame reached the peer; acked distinguishes a nack (checksum reject
+// from a live peer) from silence (dead wire).
+func (s *Sublink) attempt(p *sim.Proc, frame []byte) (delivered, acked bool) {
 	l := s.parent
 	if !s.Up() {
 		// The DMA arms and drives the first bytes, but no acknowledge
@@ -345,10 +339,10 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, ack
 		return false, false
 	}
 	if s.staged != nil {
-		return s.attemptStaged(p, frame, sum), true
+		return s.attemptStaged(p, frame), true
 	}
 	l.wire.Use(p, TransferTime(len(frame)))
-	if !s.transmit(frame, sum) {
+	if !s.transmit(frame) {
 		return false, true
 	}
 	s.peer.inbox.Send(p, frame)
@@ -356,13 +350,14 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, ack
 }
 
 // transmit is the wire crossing of one attempt, once the wire is held:
-// it counts the transfer, lets the injector damage the frame in place,
-// and applies the receiver's checksum. On a mismatch the receiver nacks
-// and transmit returns false, having undone the flips — the sender's
-// copy is the pristine master again for the retransmission. Damage the
-// checksum misses is counted as Undetected and travels on to the
-// receiver with the frame.
-func (s *Sublink) transmit(frame []byte, sum uint32) bool {
+// it counts the transfer, asks the injector which bits the wire
+// inverts, and decides the receiver's checksum verdict from those
+// positions alone (flipsDetected). A detected flip set is a nack and
+// transmit returns false without having touched the frame, which is
+// still the pristine master for the retransmission. Damage the
+// checksum misses is counted as Undetected and applied to the frame,
+// which travels on to the receiver.
+func (s *Sublink) transmit(frame []byte) bool {
 	l := s.parent
 	l.BytesSent += int64(len(frame))
 	l.k.Count("link.bytes", int64(len(frame)))
@@ -375,12 +370,11 @@ func (s *Sublink) transmit(frame []byte, sum uint32) bool {
 		return true
 	}
 	l.Corrupted++
-	flipBits(frame, flips)
-	if Checksum(frame) != sum {
-		flipBits(frame, flips)
+	if flipsDetected(len(frame), flips) {
 		return false
 	}
 	l.Undetected++
+	flipBits(frame, flips)
 	return true
 }
 

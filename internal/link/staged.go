@@ -73,10 +73,10 @@ func (s *Sublink) SyncStagedMirror() bool {
 // passes is staged through the edge, arriving exactly one
 // frame-transfer-time later — as it would on a local wire. It reports
 // whether the frame was delivered (false: nacked).
-func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, sum uint32) (delivered bool) {
+func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte) (delivered bool) {
 	dur := TransferTime(len(frame))
 	s.parent.wire.UseFunc(p, dur, func() {
-		if delivered = s.transmit(frame, sum); delivered {
+		if delivered = s.transmit(frame); delivered {
 			s.staged.x.PostDelayed(frame, dur)
 		}
 	})

@@ -126,16 +126,6 @@ func hashRow(b []byte) uint64 {
 	return h
 }
 
-// zeroSegment reports whether a segment is all zero bytes.
-func zeroSegment(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // intern stores one non-zero segment, sharing an existing row when the
 // content is already resident.
 func (d *Disk) intern(seg []byte) *storedRow {
@@ -189,12 +179,13 @@ func (d *Disk) release(b *diskBlock) {
 	}
 }
 
-// bytes materializes the block's logical content.
-func (b *diskBlock) bytes() []byte {
-	out := make([]byte, b.size)
+// bytesAfter materializes the block's logical content into a fresh
+// buffer, after a gap of hdr bytes the caller fills in (a frame header).
+func (b *diskBlock) bytesAfter(hdr int) []byte {
+	out := make([]byte, hdr+b.size)
 	for i, r := range b.rows {
 		if r != nil {
-			copy(out[i*diskRowBytes:], r.data)
+			copy(out[hdr+i*diskRowBytes:], r.data)
 		}
 	}
 	return out
@@ -232,7 +223,7 @@ func (d *Disk) store(key string, data []byte) {
 			end = len(data)
 		}
 		seg := data[off:end]
-		if zeroSegment(seg) {
+		if bytes.Equal(seg, zeroSeg[:len(seg)]) {
 			nb.rows = append(nb.rows, nil)
 			d.RowsZero++
 			continue
@@ -254,6 +245,13 @@ func (d *Disk) Write(p *sim.Proc, key string, data []byte) {
 
 // Read retrieves a copy of a named block, verifying its checksum.
 func (d *Disk) Read(p *sim.Proc, key string) ([]byte, error) {
+	return d.readAfter(p, key, 0)
+}
+
+// readAfter is Read into a fresh buffer that leaves hdr bytes in front
+// of the block for the caller's frame header, so a block streamed onto
+// a link is copied once.
+func (d *Disk) readAfter(p *sim.Proc, key string, hdr int) ([]byte, error) {
 	b, ok := d.blocks[key]
 	if !ok {
 		return nil, fmt.Errorf("disk %s: no block %q", d.Name, key)
@@ -264,18 +262,19 @@ func (d *Disk) Read(p *sim.Proc, key string) ([]byte, error) {
 		d.Corrupted++
 		return nil, &CorruptError{Disk: d.Name, Key: key}
 	}
-	return b.bytes(), nil
+	return b.bytesAfter(hdr), nil
 }
 
-// Peek materializes a copy of a block's current content without
+// peekAfter materializes a copy of a block's current content without
 // consuming time or verifying the checksum — directory access for
-// callers (the ring backup) that charge their own transfer time.
-func (d *Disk) Peek(key string) ([]byte, bool) {
+// callers (the ring backup) that charge their own transfer time. Like
+// readAfter, it leaves hdr bytes in front of the block.
+func (d *Disk) peekAfter(key string, hdr int) ([]byte, bool) {
 	b, ok := d.blocks[key]
 	if !ok {
 		return nil, false
 	}
-	return b.bytes(), true
+	return b.bytesAfter(hdr), true
 }
 
 // Size reports a block's logical length (untimed), or -1 if absent.

@@ -155,7 +155,7 @@ func (m *Module) StartHeartbeats(interval sim.Duration) {
 				binary.LittleEndian.PutUint32(frame[2:6], n.Mem.PeekWord(ProgressWord))
 				// A severed thread just drops the beat; the silence is
 				// the signal.
-				_ = n.Sublink(ThreadOutSublink).Send(p, frame)
+				_ = n.Sublink(ThreadOutSublink).SendOwned(p, frame)
 			}
 		}))
 	}
@@ -214,7 +214,7 @@ func (m *Module) StartHealthPublisher(dstMod int, interval sim.Duration) {
 				msg = append(msg, b[:]...)
 			}
 			// Ring severed: drop and retry next tick.
-			_ = m.Sys.Link.Sublink(sysRingOut).Send(p, msg)
+			_ = m.Sys.Link.Sublink(sysRingOut).SendOwned(p, msg)
 		}
 	}))
 }

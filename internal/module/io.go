@@ -44,7 +44,7 @@ func (m *Module) LoadNodeMemory(p *sim.Proc, nodeIdx, off int, data []byte) erro
 		msg[1] = byte(nodeIdx)
 		binary.LittleEndian.PutUint32(msg[2:6], uint32(off+lo))
 		copy(msg[6:], data[lo:hi])
-		if err := m.Sys.Link.Sublink(sysThreadOut).Send(p, msg); err != nil {
+		if err := m.Sys.Link.Sublink(sysThreadOut).SendOwned(p, msg); err != nil {
 			return err
 		}
 		chunks++
@@ -75,7 +75,7 @@ func (m *Module) DumpNodeMemory(p *sim.Proc, nodeIdx, off, n int) ([]byte, error
 		req[1] = byte(nodeIdx)
 		binary.LittleEndian.PutUint32(req[2:6], uint32(off+lo))
 		binary.LittleEndian.PutUint32(req[6:10], uint32(want))
-		if err := m.Sys.Link.Sublink(sysThreadOut).Send(p, req); err != nil {
+		if err := m.Sys.Link.Sublink(sysThreadOut).SendOwned(p, req); err != nil {
 			return nil, err
 		}
 		reply := m.ioChan.Recv(p).([]byte)

@@ -214,7 +214,7 @@ func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
 			reply := make([]byte, 2+count)
 			reply[0] = kindIOData
 			reply[1] = byte(idx)
-			copy(reply[2:], nd.Mem.PeekBytes(off, count))
+			nd.Mem.PeekInto(reply[2:], off)
 			m.threadSend(p, out, reply)
 			continue
 		}
@@ -222,15 +222,16 @@ func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
 	}
 }
 
-// threadSend forwards a frame down the thread, tolerating a severed
-// next hop: the frame is dropped and counted rather than panicking the
-// kernel, because a crashed downstream board is exactly the situation
-// the self-healing layer exists to survive. A dropped kindDown or
+// threadSend hands a frame on down the thread (the forwarder owns every
+// frame it receives or builds), tolerating a severed next hop: the
+// frame is dropped and counted rather than panicking the kernel,
+// because a crashed downstream board is exactly the situation the
+// self-healing layer exists to survive. A dropped kindDown or
 // kindIOWrite chunk still posts its application token so the feeding
 // process stays bounded — the loss surfaces as a detected fault on the
 // next heal cycle, not as a deadlocked restore.
 func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
-	err := out.Send(p, raw)
+	err := out.SendOwned(p, raw)
 	if err == nil {
 		return
 	}
@@ -244,10 +245,14 @@ func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
 	}
 }
 
-// chunkHeader is the 4-byte thread prefix: kind, node index, chunk
-// sequence number, and the snapshot epoch (zero for restore traffic).
-func chunkHeader(kind, nodeIdx, seq int, epoch byte) []byte {
-	return []byte{byte(kind), byte(nodeIdx), byte(seq), epoch}
+// chunkHeaderBytes is the length of a chunk's thread prefix.
+const chunkHeaderBytes = 4
+
+// chunkHeader writes the thread prefix into the front of frame: kind,
+// node index, chunk sequence number, and the snapshot epoch (zero for
+// restore traffic).
+func chunkHeader(frame []byte, kind, nodeIdx, seq int, epoch byte) {
+	frame[0], frame[1], frame[2], frame[3] = byte(kind), byte(nodeIdx), byte(seq), epoch
 }
 
 // chunksPerNode is the number of thread chunks in one node image.
@@ -314,9 +319,10 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 			for seq := 0; seq < chunksPerNode; seq++ {
 				rows := SnapshotChunk / memory.RowBytes
 				rp.Wait(sim.Duration(rows) * sim.RowAccess)
-				data := n.Mem.PeekBytes(seq*SnapshotChunk, SnapshotChunk)
-				msg := append(chunkHeader(kindUp, img, seq, epoch), data...)
-				if err := n.Sublink(ThreadOutSublink).Send(rp, msg); err != nil {
+				msg := make([]byte, chunkHeaderBytes+SnapshotChunk)
+				chunkHeader(msg, kindUp, img, seq, epoch)
+				n.Mem.PeekInto(msg[chunkHeaderBytes:], seq*SnapshotChunk)
+				if err := n.Sublink(ThreadOutSublink).SendOwned(rp, msg); err != nil {
 					// Thread severed (node crash mid-snapshot): abandon
 					// this image; the supervisor will roll back.
 					return
@@ -463,7 +469,7 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 	m.k.Go(fmt.Sprintf("mod%d/sys/restoreread", m.Index), func(fp *sim.Proc) {
 		for _, as := range active {
 			for seq := 0; seq < chunksPerNode; seq++ {
-				data, err := m.Disk.Read(fp, snapKey(snap.ID, as.img, seq))
+				msg, err := m.Disk.readAfter(fp, snapKey(snap.ID, as.img, seq), chunkHeaderBytes)
 				if err != nil {
 					select {
 					case errs <- err:
@@ -471,14 +477,15 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 					}
 					return
 				}
-				queue.Send(fp, append(chunkHeader(kindDown, as.phys, seq, 0), data...))
+				chunkHeader(msg, kindDown, as.phys, seq, 0)
+				queue.Send(fp, msg)
 			}
 		}
 	})
 	m.k.Go(fmt.Sprintf("mod%d/sys/restorefeed", m.Index), func(fp *sim.Proc) {
 		for i := 0; i < want; i++ {
 			msg := queue.Recv(fp).([]byte)
-			if err := m.Sys.Link.Sublink(sysThreadOut).Send(fp, msg); err != nil {
+			if err := m.Sys.Link.Sublink(sysThreadOut).SendOwned(fp, msg); err != nil {
 				// Thread severed under the feed (a fresh failure during
 				// recovery): report and post the outstanding tokens so
 				// the collector is not left waiting on chunks that will

@@ -63,7 +63,7 @@ func startRingDaemon(mod *Module) {
 					continue
 				}
 				if raw[3]++; raw[3] < healthHopBudget {
-					_ = mod.Sys.Link.Sublink(sysRingOut).Send(p, raw)
+					_ = mod.Sys.Link.Sublink(sysRingOut).SendOwned(p, raw)
 				}
 				continue
 			}
@@ -93,19 +93,18 @@ func (m *Module) BackupLastSnapshot(p *sim.Proc) error {
 	for _, as := range m.activeSlots() {
 		for seq := 0; seq < chunksPerNode; seq++ {
 			key := snapKey(snap.ID, as.img, seq)
-			data, ok := m.Disk.Peek(key)
+			bkey := fmt.Sprintf("backup/mod%d/%s", m.Index, key)
+			hdr := 3 + len(bkey)
+			msg, ok := m.Disk.peekAfter(key, hdr)
 			if !ok {
 				return fmt.Errorf("module %d: snapshot block %s missing", m.Index, key)
 			}
 			// Timed disk read feeding the ring.
-			m.Disk.busy.Use(p, sim.Duration(len(data))*m.Disk.ByteTime)
-			bkey := fmt.Sprintf("backup/mod%d/%s", m.Index, key)
-			msg := make([]byte, 3+len(bkey)+len(data))
+			m.Disk.busy.Use(p, sim.Duration(len(msg)-hdr)*m.Disk.ByteTime)
 			msg[0] = kindBackup
 			binary.LittleEndian.PutUint16(msg[1:3], uint16(len(bkey)))
 			copy(msg[3:], bkey)
-			copy(msg[3+len(bkey):], data)
-			if err := m.Sys.Link.Sublink(sysRingOut).Send(p, msg); err != nil {
+			if err := m.Sys.Link.Sublink(sysRingOut).SendOwned(p, msg); err != nil {
 				return err
 			}
 		}

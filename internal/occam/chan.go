@@ -97,7 +97,7 @@ func (c *linkChan) send(p *sim.Proc, v interface{}) error {
 	default:
 		return fmt.Errorf("occam: cannot send %T over a link channel", v)
 	}
-	return c.sl.Send(p, buf)
+	return c.sl.SendOwned(p, buf)
 }
 
 func (c *linkChan) recv(p *sim.Proc) (interface{}, error) {

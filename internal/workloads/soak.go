@@ -137,27 +137,39 @@ func Soak(ctx context.Context, params SoakParams) (SoakResult, error) {
 	if skOutRowBase+total >= memory.NumRows-1 {
 		return SoakResult{}, fmt.Errorf("workloads: %d soak phases overflow node memory", total)
 	}
-	plan := params.Plan
-	golden, err := soakRun(ctx, params, nil)
+	golden, err := soakRun(ctx, soakTwin(params), nil)
 	if err != nil {
 		return SoakResult{}, fmt.Errorf("workloads: fault-free golden run failed: %w", err)
 	}
-	if plan == nil && params.Chaos == nil {
+	if params.Plan == nil && params.Chaos == nil {
 		// Nothing to soak against: the run IS the golden.
-		golden.Golden = golden.Fingerprint
-		golden.Correct = golden.Correct && golden.LeakedProcs == 0 && golden.DiskUnitsHeld == 0
+		golden.judge(golden.Fingerprint)
 		return golden, nil
 	}
-	res, err := soakRun(ctx, params, plan)
+	res, err := soakRun(ctx, params, params.Plan)
 	if err != nil {
 		return SoakResult{}, err
 	}
-	res.Golden = golden.Fingerprint
+	res.judge(golden.Fingerprint)
+	return res, nil
+}
+
+// soakTwin returns the parameters of a soak's fault-free golden twin:
+// the same machine, spares and program, with the chaos recipe and the
+// scripted plan cleared.
+func soakTwin(params SoakParams) SoakParams {
+	params.Chaos, params.Plan = nil, nil
+	return params
+}
+
+// judge records the twin's fingerprint and folds the comparison with
+// it, and the epoch invariants, into Correct.
+func (res *SoakResult) judge(golden uint64) {
+	res.Golden = golden
 	res.Correct = res.Correct &&
 		res.Fingerprint == res.Golden &&
 		res.LeakedProcs == 0 &&
 		res.DiskUnitsHeld == 0
-	return res, nil
 }
 
 // soakRun executes one soak instance. plan nil with params.Chaos set

@@ -2,12 +2,12 @@ package workloads
 
 import (
 	"context"
-
 	"strings"
 	"testing"
 
 	"tseries/internal/fault"
 	"tseries/internal/sim"
+	"tseries/internal/stats"
 )
 
 func soakParams() SoakParams {
@@ -203,5 +203,66 @@ func TestSoakHangThenCrashCascade(t *testing.T) {
 	}
 	if res.LeakedProcs != 0 || res.DiskUnitsHeld != 0 {
 		t.Fatalf("leaked resources: procs=%d disk=%d", res.LeakedProcs, res.DiskUnitsHeld)
+	}
+}
+
+// TestSoakTwinIsFaultFree pins the golden twin a chaos soak is judged
+// against: it runs the same shape with no faults at all, so a heal that
+// left the machine in a wrong state cannot match it.
+func TestSoakTwinIsFaultFree(t *testing.T) {
+	p := soakParams()
+	p.Chaos = &fault.Chaos{Seed: 7, Dur: 20 * sim.Second, Crashes: 1}
+	p.Plan = &fault.Plan{Seed: 1, Events: []fault.Event{
+		{At: 18500 * sim.Millisecond, Kind: fault.Crash, Node: 3, Silent: true},
+	}}
+	twin, err := soakRun(context.Background(), soakTwin(p), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin.Faults != (stats.FaultCounters{}) {
+		t.Fatalf("twin saw faults: %+v", twin.Faults)
+	}
+	if twin.DetectEvents != 0 || twin.Remaps != 0 || twin.Degraded != 0 || twin.Rollbacks != 0 {
+		t.Fatalf("twin healed something: detections=%d remaps=%d degraded=%d rollbacks=%d",
+			twin.DetectEvents, twin.Remaps, twin.Degraded, twin.Rollbacks)
+	}
+	res, err := Soak(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Crashes == 0 {
+		t.Fatalf("the soak itself injected no crash: %+v", res.Faults)
+	}
+	if !res.Correct || res.Golden != twin.Fingerprint {
+		t.Fatalf("soak judged against %#x (correct=%v), want the fault-free twin's %#x",
+			res.Golden, res.Correct, twin.Fingerprint)
+	}
+}
+
+// TestSoakDivergenceIsReported is the oracle's negative case: a soak
+// whose final state differs from its twin's must not report Correct.
+func TestSoakDivergenceIsReported(t *testing.T) {
+	p := soakParams()
+	short := p
+	short.Epochs = 1 // one epoch fewer: fewer result rows, a different final state
+	res, err := soakRun(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := soakRun(context.Background(), short, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fingerprint == other.Fingerprint {
+		t.Fatalf("different final states share fingerprint %#x", res.Fingerprint)
+	}
+	matched := res
+	matched.judge(res.Fingerprint)
+	if !matched.Correct {
+		t.Fatalf("a run judged against its own final state is not correct: %+v", matched)
+	}
+	res.judge(other.Fingerprint)
+	if res.Correct {
+		t.Fatalf("soak with fingerprint %#x reported correct against twin %#x", res.Fingerprint, res.Golden)
 	}
 }
